@@ -5,16 +5,31 @@
 
 use crate::matrix::Matrix;
 use crate::par;
-use std::cell::RefCell;
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 thread_local! {
-    /// Caller-side packed kernel panels, held across a whole forward batch.
-    /// A separate cell from [`COLS_SCRATCH`]: the pack stays borrowed while
-    /// workers — or the inline serial path — borrow the column scratch, and
-    /// gemm's own pack scratch is busy inside each per-sample call.
-    static KERNEL_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Caller-side packed kernel panels, held across a whole batch. A
+    /// separate cell from [`COLS_SCRATCH`]: the pack is out of its cell
+    /// while workers — or the inline serial path — use the column scratch,
+    /// and gemm's own pack scratch is busy inside each per-sample call.
+    static KERNEL_PACK: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-worker im2col column scratch (capacity reused across samples).
-    static COLS_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static COLS_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `f` on a scratch buffer taken out of `cell` for the duration of the
+/// call. No borrow of the cell outlives a pool dispatch: a thread waiting on
+/// its scope helps run queued jobs, and a nested conv on this same thread
+/// then finds the cell empty and uses a fresh buffer instead of aliasing.
+fn with_scratch<R>(
+    cell: &'static LocalKey<Cell<Vec<f32>>>,
+    f: impl FnOnce(&mut Vec<f32>) -> R,
+) -> R {
+    let mut buf = cell.take();
+    let r = f(&mut buf);
+    cell.set(buf);
+    r
 }
 
 /// Shape metadata for a 2-D convolution with a square kernel.
@@ -266,10 +281,9 @@ pub fn conv2d_batch(x: &Matrix, kernel: &Matrix, m: &ConvMeta) -> Matrix {
 pub fn conv2d_batch_to(x: &Matrix, kernel: &Matrix, m: &ConvMeta, out: &mut [f32]) {
     let (co, klen) = m.kernel_shape();
     assert_eq!(kernel.shape(), (co, klen), "conv2d kernel shape");
-    KERNEL_PACK.with(|cell| {
-        let mut pack = cell.borrow_mut();
-        crate::gemm::pack_a_into(kernel.as_slice(), co, klen, false, &mut pack);
-        conv2d_batch_prepacked_to(x, &pack, m, out);
+    with_scratch(&KERNEL_PACK, |pack| {
+        crate::gemm::pack_a_into(kernel.as_slice(), co, klen, false, pack);
+        conv2d_batch_prepacked_to(x, pack, m, out);
     });
 }
 
@@ -291,13 +305,12 @@ pub(crate) fn conv2d_batch_prepacked_to(
     let hw = m.h_out() * m.w_out();
     let work = n * conv_sample_work(m);
     par::for_each_row_block(out, out_len, work, |samples, chunk| {
-        COLS_SCRATCH.with(|cc| {
-            let mut cols = cc.borrow_mut();
+        with_scratch(&COLS_SCRATCH, |cols| {
             for (si, i) in samples.enumerate() {
-                im2col_into(x.row(i), m, &mut cols);
+                im2col_into(x.row(i), m, cols);
                 crate::gemm::matmul_prepacked_a(
                     kernel_pack,
-                    &cols,
+                    cols,
                     false,
                     &mut chunk[si * out_len..(si + 1) * out_len],
                     co,
@@ -341,14 +354,12 @@ pub fn conv2d_backward_dx_to(kernel: &Matrix, dy: &Matrix, m: &ConvMeta, dx: &mu
     let in_len = m.in_len();
     assert_eq!(dx.len(), n * in_len, "conv2d dx buffer size");
     let work = n * conv_sample_work(m);
-    KERNEL_PACK.with(|cell| {
-        let mut pack = cell.borrow_mut();
+    with_scratch(&KERNEL_PACK, |pack| {
         // Pack the kernel transposed: `dcols = kernelᵀ (klen×co) · dy_i`.
-        crate::gemm::pack_a_into(kernel.as_slice(), klen, co, true, &mut pack);
-        let pack: &[f32] = &pack;
+        crate::gemm::pack_a_into(kernel.as_slice(), klen, co, true, pack);
+        let pack: &[f32] = pack;
         par::for_each_row_block(dx, in_len, work, |samples, chunk| {
-            COLS_SCRATCH.with(|cc| {
-                let mut dcols = cc.borrow_mut();
+            with_scratch(&COLS_SCRATCH, |dcols| {
                 if dcols.len() != klen * hw {
                     dcols.clear();
                     dcols.resize(klen * hw, 0.0);
@@ -358,13 +369,13 @@ pub fn conv2d_backward_dx_to(kernel: &Matrix, dy: &Matrix, m: &ConvMeta, dx: &mu
                         pack,
                         dy.row(i),
                         false,
-                        &mut dcols,
+                        dcols,
                         klen,
                         co,
                         hw,
                         false,
                     );
-                    col2im_add_cols(&dcols, m, &mut chunk[si * in_len..(si + 1) * in_len]);
+                    col2im_add_cols(dcols, m, &mut chunk[si * in_len..(si + 1) * in_len]);
                 }
             });
         });
@@ -385,12 +396,11 @@ pub fn conv2d_backward_dk_to(x: &Matrix, dy: &Matrix, m: &ConvMeta, dk: &mut [f3
     let hw = m.h_out() * m.w_out();
     let work = n * conv_sample_work(m) * 2;
     let accumulate_into = |samples: std::ops::Range<usize>, dk: &mut [f32]| {
-        COLS_SCRATCH.with(|cc| {
-            let mut cols = cc.borrow_mut();
+        with_scratch(&COLS_SCRATCH, |cols| {
             for i in samples {
-                im2col_into(x.row(i), m, &mut cols);
+                im2col_into(x.row(i), m, cols);
                 // dk (co×klen) += dy_i (co×hw) · cols_iᵀ (hw×klen)
-                crate::gemm::matmul_into(dy.row(i), &cols, dk, co, hw, klen, false, true, true);
+                crate::gemm::matmul_into(dy.row(i), cols, dk, co, hw, klen, false, true, true);
             }
         });
     };

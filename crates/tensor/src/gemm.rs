@@ -36,7 +36,7 @@
 //! they must not be written back).
 
 use crate::par;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Reduction-dimension block: bounds the panel slices the microkernel streams
@@ -581,8 +581,22 @@ thread_local! {
     /// Per-thread pack scratch for kernels without a cached RHS pack (direct
     /// `Matrix` calls and the backward kernels). Grows once, then steady-state
     /// calls reuse capacity.
-    static PACK_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    ///
+    /// Entries take the buffers out and put them back when done, never
+    /// holding a borrow of the cell: the driver may dispatch to the pool,
+    /// and a thread waiting on its scope helps run queued jobs — possibly
+    /// another GEMM on this same thread. Such a nested call finds the cell
+    /// empty and packs into fresh buffers instead of aliasing the outer ones.
+    static PACK_SCRATCH: Cell<(Vec<f32>, Vec<f32>)> =
+        const { Cell::new((Vec::new(), Vec::new())) };
+}
+
+/// Run `f` on this thread's pack scratch, taken out of [`PACK_SCRATCH`] for
+/// the duration of the call.
+fn with_pack_scratch(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>)) {
+    let (mut pa, mut pb) = PACK_SCRATCH.take();
+    f(&mut pa, &mut pb);
+    PACK_SCRATCH.set((pa, pb));
 }
 
 /// General entry: pack both operands into thread-local scratch, then run the
@@ -600,9 +614,7 @@ pub(crate) fn matmul_into(
     b_trans: bool,
     accumulate: bool,
 ) {
-    PACK_SCRATCH.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let (pa, pb) = &mut *guard;
+    with_pack_scratch(|pa, pb| {
         pack_a_into(a, m, k, a_trans, pa);
         pack_b_into(b, k, n, b_trans, pb);
         gemm_driver(pa, pb, out, m, k, n, accumulate);
@@ -623,9 +635,7 @@ pub(crate) fn matmul_prepacked_b(
     accumulate: bool,
 ) {
     debug_assert_eq!(b_pack.len(), packed_b_len(k, n), "stale RHS pack");
-    PACK_SCRATCH.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let (pa, _) = &mut *guard;
+    with_pack_scratch(|pa, _| {
         pack_a_into(a, m, k, a_trans, pa);
         gemm_driver(pa, b_pack, out, m, k, n, accumulate);
     });
@@ -644,9 +654,7 @@ pub(crate) fn matmul_prepacked_a(
     n: usize,
     accumulate: bool,
 ) {
-    PACK_SCRATCH.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let (_, pb) = &mut *guard;
+    with_pack_scratch(|_, pb| {
         pack_b_into(b, k, n, b_trans, pb);
         gemm_driver(a_pack, pb, out, m, k, n, accumulate);
     });

@@ -2,20 +2,62 @@
 //! recorded and its gradient arena materialized (one warm epoch), replayed
 //! epochs must perform **zero heap allocation** in forward + backward.
 //!
-//! The counting `#[global_allocator]` comes from [`uvd_obs::alloc`]; the test
+//! The counting `#[global_allocator]` wraps [`uvd_obs::alloc`]'s; the test
 //! runs under [`uvd_tensor::par::serial_scope`] so no thread-pool machinery
 //! (task boxing, latches) allocates on the side.
+//!
+//! Allocations are counted per thread: the test harness and sibling tests
+//! allocate on other threads while a window is measured, and under
+//! `serial_scope` all of the measured work runs on the test's own thread.
 //!
 //! The replay path is instrumented with `uvd_obs` counters (`tensor.replay.*`,
 //! `gemm.pack_*`), so the steady-state assertion here also pins the disabled
 //! telemetry path to zero heap allocations.
 
+use std::alloc::{GlobalAlloc, Layout};
+use std::cell::Cell;
 use std::sync::Arc;
-use uvd_obs::alloc::allocations as allocation_count;
+use uvd_obs::alloc::CountingAlloc;
 use uvd_tensor::{par, Adam, FusedAct, Graph, ParamRef, ParamSet};
 
+thread_local! {
+    /// `alloc`/`realloc` calls made by this thread. Const-initialized with
+    /// no destructor, so the allocator can touch it without allocating.
+    static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// [`CountingAlloc`] plus a per-thread count of allocation events.
+struct ThreadCountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `CountingAlloc`, itself a
+// pass-through to the system allocator; the thread-local bump neither
+// allocates nor touches the memory being managed.
+unsafe impl GlobalAlloc for ThreadCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        THREAD_ALLOCATIONS.set(THREAD_ALLOCATIONS.get() + 1);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { CountingAlloc.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { CountingAlloc.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        THREAD_ALLOCATIONS.set(THREAD_ALLOCATIONS.get() + 1);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { CountingAlloc.realloc(ptr, layout, new_size) }
+    }
+}
+
 #[global_allocator]
-static GLOBAL: uvd_obs::alloc::CountingAlloc = uvd_obs::alloc::CountingAlloc;
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
+
+/// Allocation events made by the calling thread so far.
+fn allocation_count() -> usize {
+    THREAD_ALLOCATIONS.get()
+}
 
 #[test]
 fn replayed_epoch_performs_zero_heap_allocations() {

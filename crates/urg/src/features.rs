@@ -17,11 +17,14 @@
 use uvd_citysim::{City, FacilityClass, PoiCategory, RadiusType, CELL_METERS};
 use uvd_tensor::{par, Matrix};
 
-/// Estimated scalar ops of one region's POI feature row (dominated by the
-/// 15 + 9 expanding-ring nearest-POI searches, each scanning on the order of
-/// a few thousand grid cells) — the per-row work estimate fed to the
-/// parallel dispatch threshold.
-const POI_ROW_WORK: usize = 100_000;
+/// Estimated scalar ops of one region's POI feature row — the per-row work
+/// estimate fed to the parallel dispatch threshold. The row is 15 + 9
+/// count-pruned nearest-POI searches, each a few summed-area lookups plus
+/// the POIs of its first few rings (~24 × 150 ops), and the 48-dim category
+/// block (~500 ops). That matches the ~4 µs per row measured on one core of
+/// a 2-vCPU x86-64 VM over a 50k-region city, and puts the parallel cut-off
+/// at a few dozen rows, far below a tile.
+const POI_ROW_WORK: usize = 4_000;
 
 /// Which POI feature groups to include.
 #[derive(Clone, Copy, Debug)]
@@ -58,12 +61,49 @@ impl PoiFeatureOptions {
 pub struct PoiSpatialIndex {
     width: usize,
     height: usize,
-    /// Per radius type, per region: POI positions (meters).
-    radius_buckets: Vec<Vec<Vec<(f64, f64)>>>,
-    /// Per facility class, per region: POI positions (meters).
-    facility_buckets: Vec<Vec<Vec<(f64, f64)>>>,
+    /// One layer per radius type (`0..15`), then one per facility class
+    /// (`15..24`).
+    layers: Vec<PoiLayer>,
     /// Per region: POI count per top-level category.
     category_counts: Vec<[f32; PoiCategory::COUNT]>,
+}
+
+/// The POIs of one radius type or facility class, bucketed by region.
+struct PoiLayer {
+    /// CSR offsets (`n + 1` entries): region `r`'s POIs are
+    /// `points[offsets[r]..offsets[r + 1]]`. Regions are row-major, so a
+    /// horizontal run of cells is one contiguous slice of `points`.
+    offsets: Vec<u32>,
+    /// POI positions (meters), grouped by region.
+    points: Vec<(f64, f64)>,
+    /// Summed-area table of per-cell counts, `(w + 1) × (h + 1)` row-major:
+    /// entry `(x, y)` counts the POIs in cells `[0, x) × [0, y)`.
+    sat: Vec<u32>,
+}
+
+impl PoiLayer {
+    /// POIs in the cell rectangle `[x0, x1) × [y0, y1)` (`w` = grid width).
+    fn count(&self, w: usize, x0: usize, y0: usize, x1: usize, y1: usize) -> u32 {
+        // POIs in cells `[x0, x1) × [0, y)`.
+        let strip = |y: usize| self.sat[y * (w + 1) + x1] - self.sat[y * (w + 1) + x0];
+        strip(y1) - strip(y0)
+    }
+
+    /// POIs of the cell run `x0..=x1` on row `y`.
+    fn row_run(&self, w: usize, y: usize, x0: usize, x1: usize) -> &[(f64, f64)] {
+        let (a, b) = (y * w + x0, y * w + x1 + 1);
+        &self.points[self.offsets[a] as usize..self.offsets[b] as usize]
+    }
+}
+
+/// Lower `best` to the distance from `(px, py)` to the nearest of `points`.
+fn scan_min(points: &[(f64, f64)], px: f64, py: f64, best: &mut f64) {
+    for &(x, y) in points {
+        let d = ((x - px).powi(2) + (y - py).powi(2)).sqrt();
+        if d < *best {
+            *best = d;
+        }
+    }
 }
 
 impl PoiSpatialIndex {
@@ -76,24 +116,67 @@ impl PoiSpatialIndex {
     /// [`City`] ever exists.
     pub fn from_parts(width: usize, height: usize, pois: &[uvd_citysim::Poi]) -> Self {
         let n = width * height;
-        let mut radius_buckets = vec![vec![Vec::new(); n]; RadiusType::COUNT];
-        let mut facility_buckets = vec![vec![Vec::new(); n]; FacilityClass::COUNT];
+        let n_layers = RadiusType::COUNT + FacilityClass::COUNT;
+        let layers_of = |p: &uvd_citysim::Poi| {
+            let rt = p.kind.radius_type().map(|rt| rt.index());
+            let fc = p
+                .kind
+                .facility_class()
+                .map(|fc| RadiusType::COUNT + fc.index());
+            rt.into_iter().chain(fc)
+        };
         let mut category_counts = vec![[0.0f32; PoiCategory::COUNT]; n];
+        // Counting sort into CSR: per-region counts, prefix sums, then fill
+        // (POIs keep their input order within a region).
+        let mut offsets = vec![vec![0u32; n + 1]; n_layers];
         for p in pois {
             let r = p.region(width);
             category_counts[r][p.kind.category().index()] += 1.0;
-            if let Some(rt) = p.kind.radius_type() {
-                radius_buckets[rt.index()][r].push((p.x, p.y));
-            }
-            if let Some(fc) = p.kind.facility_class() {
-                facility_buckets[fc.index()][r].push((p.x, p.y));
+            for l in layers_of(p) {
+                offsets[l][r + 1] += 1;
             }
         }
+        for off in &mut offsets {
+            for r in 0..n {
+                off[r + 1] += off[r];
+            }
+        }
+        let mut points: Vec<Vec<(f64, f64)>> = offsets
+            .iter()
+            .map(|off| vec![(0.0, 0.0); off[n] as usize])
+            .collect();
+        let mut cursor: Vec<Vec<u32>> = offsets.iter().map(|off| off[..n].to_vec()).collect();
+        for p in pois {
+            let r = p.region(width);
+            for l in layers_of(p) {
+                points[l][cursor[l][r] as usize] = (p.x, p.y);
+                cursor[l][r] += 1;
+            }
+        }
+        let layers = offsets
+            .into_iter()
+            .zip(points)
+            .map(|(offsets, points)| {
+                let mut sat = vec![0u32; (width + 1) * (height + 1)];
+                for y in 0..height {
+                    let mut row_sum = 0u32;
+                    for x in 0..width {
+                        let r = y * width + x;
+                        row_sum += offsets[r + 1] - offsets[r];
+                        sat[(y + 1) * (width + 1) + x + 1] = sat[y * (width + 1) + x + 1] + row_sum;
+                    }
+                }
+                PoiLayer {
+                    offsets,
+                    points,
+                    sat,
+                }
+            })
+            .collect();
         PoiSpatialIndex {
             width,
             height,
-            radius_buckets,
-            facility_buckets,
+            layers,
             category_counts,
         }
     }
@@ -107,38 +190,82 @@ impl PoiSpatialIndex {
     /// the given radius type, capped at `cap_m` (returns `None` if nothing is
     /// within the cap).
     pub fn nearest_radius_poi(&self, region: usize, rt: RadiusType, cap_m: f64) -> Option<f64> {
-        self.nearest_in(&self.radius_buckets[rt.index()], region, cap_m)
+        self.nearest_in(&self.layers[rt.index()], region, cap_m)
     }
 
     /// Nearest facility of a class, capped.
     pub fn nearest_facility(&self, region: usize, fc: FacilityClass, cap_m: f64) -> Option<f64> {
-        self.nearest_in(&self.facility_buckets[fc.index()], region, cap_m)
+        self.nearest_in(&self.layers[RadiusType::COUNT + fc.index()], region, cap_m)
     }
 
-    /// Expanding ring search over region cells. Exact nearest distance as
-    /// long as it is below the cap.
-    fn nearest_in(&self, buckets: &[Vec<(f64, f64)>], region: usize, cap_m: f64) -> Option<f64> {
+    /// Count-pruned expanding ring search over region cells. Exact nearest
+    /// distance as long as it is below the cap.
+    ///
+    /// The rings, their order and the early break are those of a plain ring
+    /// walk out to the cap box; the summed-area table only skips work that
+    /// cannot change the answer — an empty cap box, empty rings and sides,
+    /// and every ring after the last POI of the cap box has been scanned.
+    /// The scanned points are the same, each distance is computed by the
+    /// same expression, and a minimum does not depend on visit order, so the
+    /// result is bit-identical to the exhaustive walk.
+    fn nearest_in(&self, layer: &PoiLayer, region: usize, cap_m: f64) -> Option<f64> {
         let (w, h) = (self.width, self.height);
         let (cx, cy) = (region % w, region / w);
         let (px, py) = (
             (cx as f64 + 0.5) * CELL_METERS,
             (cy as f64 + 0.5) * CELL_METERS,
         );
-        let max_ring = (cap_m / CELL_METERS).ceil() as i64 + 1;
+        let max_ring = (cap_m / CELL_METERS).ceil() as usize + 1;
+        // Cells at Chebyshev distance <= ring, clipped to the grid, as the
+        // half-open rectangle `[x0, x1) × [y0, y1)`.
+        let square = |ring: usize| {
+            (
+                cx.saturating_sub(ring),
+                cy.saturating_sub(ring),
+                (cx + ring + 1).min(w),
+                (cy + ring + 1).min(h),
+            )
+        };
+        let total = {
+            let (x0, y0, x1, y1) = square(max_ring);
+            layer.count(w, x0, y0, x1, y1)
+        };
         let mut best = f64::INFINITY;
+        // POIs inside the squares scanned so far.
+        let mut seen = 0u32;
         for ring in 0..=max_ring {
             // Cells in this ring cannot contain anything closer than
             // (ring-1) cells away; stop once the current best beats that.
-            let ring_floor = ((ring - 1).max(0)) as f64 * CELL_METERS;
-            if best <= ring_floor {
+            let ring_floor = ring.saturating_sub(1) as f64 * CELL_METERS;
+            if best <= ring_floor || seen == total {
                 break;
             }
-            for (gx, gy) in ring_cells(cx as i64, cy as i64, ring, w as i64, h as i64) {
-                for &(x, y) in &buckets[gy as usize * w + gx as usize] {
-                    let d = ((x - px).powi(2) + (y - py).powi(2)).sqrt();
-                    if d < best {
-                        best = d;
-                    }
+            let (x0, y0, x1, y1) = square(ring);
+            let inside = layer.count(w, x0, y0, x1, y1);
+            if inside == seen {
+                continue; // empty ring
+            }
+            seen = inside;
+            if ring == 0 {
+                scan_min(layer.row_run(w, cy, cx, cx), px, py, &mut best);
+                continue;
+            }
+            // Top and bottom rows of the ring are contiguous runs of cells.
+            if ring <= cy {
+                scan_min(layer.row_run(w, cy - ring, x0, x1 - 1), px, py, &mut best);
+            }
+            if cy + ring < h {
+                scan_min(layer.row_run(w, cy + ring, x0, x1 - 1), px, py, &mut best);
+            }
+            // Left and right columns, strictly between those rows.
+            let (ya, yb) = (cy.saturating_sub(ring - 1), (cy + ring).min(h));
+            let columns = [cx.checked_sub(ring), Some(cx + ring).filter(|&x| x < w)];
+            for x in columns.into_iter().flatten() {
+                if layer.count(w, x, ya, x + 1, yb) == 0 {
+                    continue;
+                }
+                for y in ya..yb {
+                    scan_min(layer.row_run(w, y, x, x), px, py, &mut best);
                 }
             }
         }
@@ -148,35 +275,6 @@ impl PoiSpatialIndex {
             None
         }
     }
-}
-
-/// Grid cells at Chebyshev distance `ring` from `(cx, cy)`, clipped to the
-/// grid.
-fn ring_cells(cx: i64, cy: i64, ring: i64, w: i64, h: i64) -> Vec<(i64, i64)> {
-    let mut out = Vec::new();
-    if ring == 0 {
-        if cx >= 0 && cy >= 0 && cx < w && cy < h {
-            out.push((cx, cy));
-        }
-        return out;
-    }
-    for dx in -ring..=ring {
-        for &dy in &[-ring, ring] {
-            let (x, y) = (cx + dx, cy + dy);
-            if x >= 0 && y >= 0 && x < w && y < h {
-                out.push((x, y));
-            }
-        }
-    }
-    for dy in (-ring + 1)..ring {
-        for &dx in &[-ring, ring] {
-            let (x, y) = (cx + dx, cy + dy);
-            if x >= 0 && y >= 0 && x < w && y < h {
-                out.push((x, y));
-            }
-        }
-    }
-    out
 }
 
 /// Bucketize a radius distance per the paper: `<0.5 km`, `0.5–1.5 km`,
@@ -420,26 +518,130 @@ mod tests {
         assert_eq!(radius_bucket(None), 3);
     }
 
-    #[test]
-    fn nearest_search_matches_brute_force() {
-        let city = tiny(3);
-        let index = PoiSpatialIndex::build(&city);
-        for r in (0..city.n_regions()).step_by(37) {
-            let (px, py) = city.region_center(r);
-            for rt in [RadiusType::Shop, RadiusType::Hospital, RadiusType::BusStop] {
-                let brute = city
-                    .pois
-                    .iter()
-                    .filter(|p| p.kind.radius_type() == Some(rt))
-                    .map(|p| ((p.x - px).powi(2) + (p.y - py).powi(2)).sqrt())
-                    .fold(f64::INFINITY, f64::min);
-                let fast = index.nearest_radius_poi(r, rt, 3000.0);
-                match fast {
-                    Some(d) => assert!((d - brute).abs() < 1e-6, "r={r} {rt:?}"),
-                    None => assert!(brute > 3000.0, "r={r} {rt:?} brute={brute}"),
+    /// One generated POI: kind index, position fractions, placement mode.
+    type PoiSpec = (usize, f64, f64, u8);
+
+    /// Place generated POIs on a `w × h` grid. Modes: uniform; on a cell's
+    /// lower-left corner (both coordinates on cell borders); exactly 1000 m
+    /// or 3000 m from a region center, along an axis or a 3-4-5 diagonal
+    /// (so the distance is exact and lands on a cap); clustered in the grid's
+    /// first cell. Every POI stays inside the grid.
+    fn place_pois(w: usize, h: usize, specs: &[PoiSpec]) -> Vec<uvd_citysim::Poi> {
+        let (wm, hm) = (w as f64 * CELL_METERS, h as f64 * CELL_METERS);
+        specs
+            .iter()
+            .map(|&(k, fx, fy, mode)| {
+                let kind = uvd_citysim::PoiKind::ALL[k];
+                let (mut x, mut y) = (fx * wm, fy * hm);
+                match mode {
+                    1 => {
+                        x = (fx * w as f64).floor() * CELL_METERS;
+                        y = (fy * h as f64).floor() * CELL_METERS;
+                    }
+                    2..=5 => {
+                        let (cx, cy) = ((fx * w as f64).floor(), (fy * h as f64).floor());
+                        let (px, py) = ((cx + 0.5) * CELL_METERS, (cy + 0.5) * CELL_METERS);
+                        let (dx, dy) = [
+                            (1000.0, 0.0),
+                            (600.0, 800.0),
+                            (3000.0, 0.0),
+                            (1800.0, 2400.0),
+                        ][mode as usize - 2];
+                        let flip =
+                            |p: f64, d: f64, max: f64| if p + d < max { p + d } else { p - d };
+                        let (qx, qy) = (flip(px, dx, wm), flip(py, dy, hm));
+                        if (0.0..wm).contains(&qx) && (0.0..hm).contains(&qy) {
+                            (x, y) = (qx, qy);
+                        }
+                    }
+                    6 => (x, y) = (fx * CELL_METERS, fy * CELL_METERS),
+                    _ => {}
+                }
+                uvd_citysim::Poi { kind, x, y }
+            })
+            .collect()
+    }
+
+    /// Brute-force capped minimum over the whole POI list, computed with
+    /// the search's own distance expression.
+    fn brute_nearest(
+        pois: &[uvd_citysim::Poi],
+        keep: impl Fn(&uvd_citysim::Poi) -> bool,
+        (px, py): (f64, f64),
+        cap_m: f64,
+    ) -> Option<f64> {
+        let best = pois
+            .iter()
+            .filter(|p| keep(p))
+            .map(|p| ((p.x - px).powi(2) + (p.y - py).powi(2)).sqrt())
+            .fold(f64::INFINITY, f64::min);
+        (best <= cap_m).then_some(best)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// The count-pruned search returns exactly — bit for bit — the
+        /// capped brute-force minimum, for every region, every radius type
+        /// and facility class, and both caps the features use.
+        #[test]
+        fn nearest_search_matches_brute_force(
+            w in 1usize..40,
+            h in 1usize..40,
+            specs in proptest::collection::vec(
+                (0usize..uvd_citysim::PoiKind::COUNT, 0.0f64..1.0, 0.0f64..1.0, 0u8..8),
+                0..300,
+            ),
+        ) {
+            let pois = place_pois(w, h, &specs);
+            let index = PoiSpatialIndex::from_parts(w, h, &pois);
+            let bits = |d: Option<f64>| d.map(f64::to_bits);
+            for r in 0..w * h {
+                let center = (
+                    ((r % w) as f64 + 0.5) * CELL_METERS,
+                    ((r / w) as f64 + 0.5) * CELL_METERS,
+                );
+                for cap in [1000.0, 3000.0] {
+                    for i in 0..RadiusType::COUNT {
+                        let rt = radius_type_by_index(i);
+                        let brute =
+                            brute_nearest(&pois, |p| p.kind.radius_type() == Some(rt), center, cap);
+                        let fast = index.nearest_radius_poi(r, rt, cap);
+                        proptest::prop_assert_eq!(bits(fast), bits(brute), "{w}x{h} r={r} {rt:?} cap={cap}");
+                    }
+                    for i in 0..FacilityClass::COUNT {
+                        let fc = facility_class_by_index(i);
+                        let brute =
+                            brute_nearest(&pois, |p| p.kind.facility_class() == Some(fc), center, cap);
+                        let fast = index.nearest_facility(r, fc, cap);
+                        proptest::prop_assert_eq!(bits(fast), bits(brute), "{w}x{h} r={r} {fc:?} cap={cap}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn search_hits_exact_cap_and_cell_borders() {
+        // A 30×1 strip, long enough to hold a POI 3000 m from region 0.
+        let nearest = |x: f64, cap: f64| {
+            let shop = uvd_citysim::Poi {
+                kind: uvd_citysim::PoiKind::Shop,
+                x,
+                y: 64.0,
+            };
+            let index = PoiSpatialIndex::from_parts(30, 1, &[shop]);
+            index
+                .nearest_radius_poi(0, RadiusType::Shop, cap)
+                .map(f64::to_bits)
+        };
+        // Region 0's center is (64, 64): a POI at x = 3064 is exactly 3000 m
+        // away, inside the inclusive cap; the next float out is not.
+        assert_eq!(nearest(3064.0, 3000.0), Some(3000.0f64.to_bits()));
+        assert_eq!(nearest(3064.0f64.next_up(), 3000.0), None);
+        // A POI on the left border of cell 2 belongs to cell 2 and is 192 m
+        // from region 0's center.
+        assert_eq!(nearest(2.0 * CELL_METERS, 1000.0), Some(192.0f64.to_bits()));
     }
 
     #[test]
@@ -466,13 +668,5 @@ mod tests {
         let is_res = |r: usize| city.land_use[r] == uvd_citysim::LandUse::Residential;
         assert!(mean_share(&is_uv, food) > mean_share(&is_res, food));
         assert!(mean_share(&is_uv, finance) < mean_share(&is_res, finance));
-    }
-
-    #[test]
-    fn ring_cells_cover_square_perimeter() {
-        let cells = ring_cells(5, 5, 2, 100, 100);
-        assert_eq!(cells.len(), 16); // 5x5 square perimeter
-        let cells0 = ring_cells(5, 5, 0, 100, 100);
-        assert_eq!(cells0, vec![(5, 5)]);
     }
 }
