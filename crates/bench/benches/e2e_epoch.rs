@@ -1,12 +1,13 @@
 //! End-to-end CMSF epoch cost on the tiny city: one full-batch master epoch
-//! and one slave epoch (the quantities Table III reports per method).
+//! and one slave epoch (the quantities Table III reports per method). Each
+//! iteration records a fresh tape and steps it once, so this times the
+//! rebuild-per-epoch cost, not the record-once/replay training loop.
 
 use cmsf::{Cmsf, CmsfConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use std::sync::Arc;
 use uvd_citysim::{City, CityPreset};
-use uvd_tensor::Adam;
+use uvd_tensor::{Adam, Graph};
 use uvd_urg::{Urg, UrgOptions};
 
 fn bench_epochs(c: &mut Criterion) {
@@ -17,14 +18,14 @@ fn bench_epochs(c: &mut Criterion) {
     cfg.master_epochs = 3;
     cfg.slave_epochs = 2;
     let mut model = Cmsf::new(&urg, cfg);
-    let rows: Arc<Vec<u32>> = Arc::new(train.iter().map(|&i| urg.labeled[i]).collect());
-    let targets: Arc<Vec<f32>> = Arc::new(train.iter().map(|&i| urg.y[i]).collect());
-    let weights: Arc<Vec<f32>> = Arc::new(vec![1.0; train.len()]);
+    let (rows, targets, weights) = model.bce_vectors(&urg, &train);
 
     c.bench_function("cmsf_master_epoch_tiny", |b| {
         let mut opt = Adam::new(1e-4);
         b.iter(|| {
-            black_box(model.master_epoch(&urg, &rows, &targets, &weights, &mut opt));
+            let mut g = Graph::new();
+            let loss = model.record_master_tape(&mut g, &urg, &rows, &targets, &weights);
+            black_box(model.step(&mut g, loss, &mut opt));
         });
     });
 
@@ -34,10 +35,11 @@ fn bench_epochs(c: &mut Criterion) {
     c.bench_function("cmsf_slave_epoch_tiny", |b| {
         let mut opt = Adam::new(1e-4);
         b.iter(|| {
-            black_box(
-                model.slave_epoch(&urg, &fixed, &c1, &c0, &rows, &targets, &weights, &mut opt),
-            )
-            .expect("slave epoch stays finite");
+            let mut g = Graph::new();
+            let loss = model
+                .record_slave_tape(&mut g, &urg, &fixed, &c1, &c0, &rows, &targets, &weights)
+                .expect("slave tape records");
+            black_box(model.step(&mut g, loss, &mut opt));
         });
     });
 }

@@ -9,69 +9,40 @@
 //!   the background preparation thread may run during the tape-recording
 //!   epoch. `0` prepares batches inline (serial reference path).
 //!
-//! Both follow the `UVD_THREADS` pattern from `uvd_tensor::par`: a pure
-//! parser (unit-testable without touching the process environment), a
-//! once-per-process read, and a single [`uvd_obs::warn_once`] on an
-//! unparseable value — which is then *ignored*, falling back to the
-//! config's programmatic setting rather than silently picking a number.
+//! All three are non-negative integers read once per process through
+//! [`uvd_obs::env_knob`]: an unparseable value warns once and is then
+//! *ignored*, falling back to the config's programmatic setting rather
+//! than silently picking a number.
 
 use std::sync::OnceLock;
 
-/// Parse a `UVD_BATCH` value. Accepted: a non-negative integer (0 turns
-/// mini-batching off). Anything else (negatives, non-numeric, empty,
+/// Parse a count knob value. Accepted: a non-negative integer, surrounding
+/// whitespace ignored. Anything else (negatives, non-numeric, empty,
 /// fractional) is rejected.
-pub fn parse_batch(s: &str) -> Option<usize> {
+pub fn parse_count(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok()
 }
 
-/// Parse a `UVD_SAMPLE_FANOUT` value. Accepted: a non-negative integer
-/// (0 = uncapped, i.e. the full k-hop closure).
-pub fn parse_fanout(s: &str) -> Option<usize> {
-    s.trim().parse::<usize>().ok()
-}
-
-/// Parse a `UVD_PREFETCH` value. Accepted: a non-negative integer
-/// (0 = no background preparation thread).
-pub fn parse_prefetch(s: &str) -> Option<usize> {
-    s.trim().parse::<usize>().ok()
-}
-
-fn read_knob(var: &'static str, parse: fn(&str) -> Option<usize>) -> Option<usize> {
-    match std::env::var(var) {
-        Err(_) => None,
-        Ok(v) => {
-            let parsed = parse(&v);
-            if parsed.is_none() {
-                uvd_obs::warn_once(
-                    var,
-                    &format!(
-                        "{var}: unrecognized value '{}' (accepted: a \
-                         non-negative integer); ignoring it",
-                        v.trim()
-                    ),
-                );
-            }
-            parsed
-        }
-    }
+fn count_knob(var: &'static str) -> Option<usize> {
+    uvd_obs::env_knob(var, "a non-negative integer", parse_count)
 }
 
 /// `UVD_BATCH` if set and valid (read once per process).
 pub fn env_batch() -> Option<usize> {
     static V: OnceLock<Option<usize>> = OnceLock::new();
-    *V.get_or_init(|| read_knob("UVD_BATCH", parse_batch))
+    *V.get_or_init(|| count_knob("UVD_BATCH"))
 }
 
 /// `UVD_SAMPLE_FANOUT` if set and valid (read once per process).
 pub fn env_fanout() -> Option<usize> {
     static V: OnceLock<Option<usize>> = OnceLock::new();
-    *V.get_or_init(|| read_knob("UVD_SAMPLE_FANOUT", parse_fanout))
+    *V.get_or_init(|| count_knob("UVD_SAMPLE_FANOUT"))
 }
 
 /// `UVD_PREFETCH` if set and valid (read once per process).
 pub fn env_prefetch() -> Option<usize> {
     static V: OnceLock<Option<usize>> = OnceLock::new();
-    *V.get_or_init(|| read_knob("UVD_PREFETCH", parse_prefetch))
+    *V.get_or_init(|| count_knob("UVD_PREFETCH"))
 }
 
 #[cfg(test)]
@@ -79,44 +50,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_valid_batch_values() {
-        assert_eq!(parse_batch("128"), Some(128));
-        assert_eq!(parse_batch("0"), Some(0));
-        assert_eq!(parse_batch("  64  "), Some(64));
+    fn parses_valid_counts() {
+        assert_eq!(parse_count("128"), Some(128));
+        assert_eq!(parse_count("0"), Some(0));
+        assert_eq!(parse_count("  64  "), Some(64));
+        assert_eq!(parse_count("\t12\n"), Some(12));
     }
 
     #[test]
     fn rejects_bad_batch_values() {
         for bad in ["-1", "abc", "", "  ", "12.5", "1e3", "0x10", "128 regions"] {
-            assert_eq!(parse_batch(bad), None, "{bad:?} must be rejected");
+            assert_eq!(parse_count(bad), None, "{bad:?} must be rejected");
         }
-    }
-
-    #[test]
-    fn parses_valid_fanout_values() {
-        assert_eq!(parse_fanout("8"), Some(8));
-        assert_eq!(parse_fanout("0"), Some(0));
-        assert_eq!(parse_fanout("\t12\n"), Some(12));
     }
 
     #[test]
     fn rejects_bad_fanout_values() {
         for bad in ["-3", "full", "", "3,000", "2.0"] {
-            assert_eq!(parse_fanout(bad), None, "{bad:?} must be rejected");
+            assert_eq!(parse_count(bad), None, "{bad:?} must be rejected");
         }
-    }
-
-    #[test]
-    fn parses_valid_prefetch_values() {
-        assert_eq!(parse_prefetch("2"), Some(2));
-        assert_eq!(parse_prefetch("0"), Some(0));
-        assert_eq!(parse_prefetch(" 4 "), Some(4));
     }
 
     #[test]
     fn rejects_bad_prefetch_values() {
         for bad in ["-1", "on", "", "1.5", "two"] {
-            assert_eq!(parse_prefetch(bad), None, "{bad:?} must be rejected");
+            assert_eq!(parse_count(bad), None, "{bad:?} must be rejected");
         }
     }
 }

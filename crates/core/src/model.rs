@@ -90,9 +90,7 @@ pub struct ServeBatch {
 struct SampledBatch {
     sub: Urg,
     nodes: Vec<u32>,
-    rows: Arc<Vec<u32>>,
-    targets: Arc<Vec<f32>>,
-    weights: Arc<Vec<f32>>,
+    bce: BceVectors,
 }
 
 /// The config fields batch sampling depends on — `Copy`, so the prefetch
@@ -153,9 +151,7 @@ fn sample_batch_impl(
     Ok(SampledBatch {
         sub,
         nodes,
-        rows: Arc::new(rows),
-        targets: Arc::new(targets),
-        weights: Arc::new(weights),
+        bce: (Arc::new(rows), Arc::new(targets), Arc::new(weights)),
     })
 }
 
@@ -344,8 +340,9 @@ impl Cmsf {
     /// The partition is a pure function of `(cfg.seed, train_idx)` — fixed
     /// across epochs and across both training stages, so each batch's tape
     /// is recorded once and replayed. `None` when mini-batching is off
-    /// (batch 0) or pointless (batch ≥ train set), in which case the
-    /// caller takes the full-batch path — the bitwise-deterministic oracle.
+    /// (batch 0) or pointless (batch ≥ train set), in which case the stage
+    /// trains full-batch: one batch over the whole graph, the
+    /// bitwise-deterministic oracle.
     fn minibatches(&self, train_idx: &[usize]) -> Option<Vec<Vec<usize>>> {
         let b = self.cfg.batch_size;
         if b == 0 || b >= train_idx.len() {
@@ -381,7 +378,7 @@ impl Cmsf {
         urg: &Urg,
         batches: &[Vec<usize>],
         fixed: Option<&FixedAssignment>,
-        mut consume: impl FnMut(usize, PreparedBatch) -> Result<(), FitError>,
+        mut consume: impl FnMut(PreparedBatch) -> Result<(), FitError>,
     ) -> Result<(), FitError> {
         let spec = self.sample_spec();
         let prepare = |b_no: usize, b_idx: &[usize]| -> Result<PreparedBatch, FitError> {
@@ -391,7 +388,7 @@ impl Cmsf {
         };
         if self.cfg.prefetch == 0 || batches.len() < 2 {
             for (b_no, b_idx) in batches.iter().enumerate() {
-                consume(b_no, prepare(b_no, b_idx)?)?;
+                consume(prepare(b_no, b_idx)?)?;
             }
             return Ok(());
         }
@@ -415,7 +412,7 @@ impl Cmsf {
                     }
                 });
             });
-            for b_no in 0..batches.len() {
+            for _ in batches {
                 let item = match rx.try_recv() {
                     Ok(item) => {
                         PREFETCH_HIT.add(1);
@@ -434,128 +431,152 @@ impl Cmsf {
                         unreachable!("prefetch producer exited without a final item")
                     }
                 };
-                consume(b_no, item?)?;
+                consume(item?)?;
             }
             Ok(())
         })
     }
 
-    /// Fold the resident workspace of a set of simultaneously-live tapes
-    /// into the peak-workspace statistic (all batch tapes are held for
-    /// replay, so their *sum* is what is resident at once).
-    fn note_peak_ws(&mut self, tapes: &[(Graph, NodeId)]) {
-        let total: usize = tapes.iter().map(|(g, _)| g.workspace_bytes()).sum();
-        self.peak_ws_bytes = self.peak_ws_bytes.max(total);
-    }
-
     /// Algorithm 1: master training stage. Returns the average loss of the
     /// final epoch, or [`FitError::NonFiniteLoss`] at the first epoch whose
-    /// loss diverges (no point polishing garbage parameters).
+    /// loss diverges (no point polishing garbage parameters), and freezes
+    /// the cluster assignment on success.
     ///
     /// With `cfg.batch_size > 0` the stage trains on neighbor-sampled
-    /// mini-batches instead of the whole graph (see
-    /// [`Cmsf::train_master_minibatch`]); full-batch remains the default
-    /// and the bitwise-deterministic reference.
+    /// mini-batches instead of the whole graph; full-batch remains the
+    /// default and the bitwise-deterministic reference.
     pub fn train_master(&mut self, urg: &Urg, train_idx: &[usize]) -> Result<f32, FitError> {
-        if let Some(batches) = self.minibatches(train_idx) {
-            return self.train_master_minibatch(urg, train_idx, &batches);
-        }
-        let _stage = uvd_obs::span("cmsf.master").field("epochs", self.cfg.master_epochs as f64);
-        let (rows, targets, weights) = self.bce_vectors(urg, train_idx);
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut last = 0.0;
-        // Record the epoch tape once; every later epoch replays it in place
-        // (refreshed parameter leaves, reused value/grad buffers).
-        let mut g = Graph::new();
-        let loss = self.record_master_tape(&mut g, urg, &rows, &targets, &weights);
-        for epoch in 0..self.cfg.master_epochs {
-            let mut ep = uvd_obs::span("cmsf.master.epoch").field("epoch", epoch as f64);
-            if epoch > 0 {
-                g.replay();
-            }
-            last = self.train_step(&mut g, loss, &mut opt);
-            ep.add_field("loss", f64::from(last));
-            if !last.is_finite() {
-                self.peak_ws_bytes = self.peak_ws_bytes.max(g.workspace_bytes());
-                return Err(FitError::NonFiniteLoss);
-            }
-            opt.decay(self.cfg.lr_decay);
-        }
-        self.peak_ws_bytes = self.peak_ws_bytes.max(g.workspace_bytes());
-        self.freeze_assignment(urg, train_idx);
-        Ok(last)
+        self.train_stage(urg, train_idx, None)
     }
 
-    /// Mini-batch master stage (GraphSAGE-style): per batch, sample a
-    /// subgraph and record one tape against the current parameters (first
-    /// epoch); later epochs replay every batch tape in the same fixed
-    /// order — zero steady-state allocation, exactly the full-batch
-    /// record-replay contract applied per batch. SGD over neighbor-sampled
-    /// subgraphs approximates the full-batch objective and is validated by
-    /// the convergence contract, not bitwise equality. Returns the mean
-    /// batch loss of the final epoch.
-    fn train_master_minibatch(
+    /// Algorithm 2: slave adaptive training stage. Requires a prior
+    /// [`Cmsf::train_master`] (which froze the assignment); running it out of
+    /// order is a typed [`FitError::StageOrder`] instead of a panic.
+    pub fn train_slave(&mut self, urg: &Urg, train_idx: &[usize]) -> Result<f32, FitError> {
+        if self.gscm.is_none() || self.gate.is_none() {
+            return Ok(0.0); // CMSF-G / CMSF-H variants skip this stage.
+        }
+        let Some(fixed) = self.fixed.clone() else {
+            return Err(FitError::StageOrder {
+                required: "train_master",
+                attempted: "train_slave",
+            });
+        };
+        self.train_stage(urg, train_idx, Some(&fixed))
+    }
+
+    /// The one training-stage loop behind both stages: the master stage
+    /// without `fixed`, the slave stage (gated tape, `lr * 0.3` optimizer)
+    /// with the frozen assignment.
+    ///
+    /// Epoch 0 records one tape per batch against the current parameters
+    /// and steps it; every later epoch replays each tape in place, in the
+    /// same fixed order (refreshed parameter leaves, reused value/grad
+    /// buffers — zero steady-state allocation). Full-batch training is the
+    /// single batch that borrows the whole `urg`; mini-batches
+    /// (GraphSAGE-style neighbor-sampled subgraphs, see
+    /// [`Cmsf::minibatches`]) are prepared through [`Cmsf::for_each_prepared`],
+    /// and on the slave stage carry the frozen assignment restricted to
+    /// their subgraph. The rank loss keeps the *global* cluster partition
+    /// (C₁/C₀) and pseudo labels either way. SGD over sampled subgraphs
+    /// approximates the full-batch objective and is validated by the
+    /// convergence contract, not bitwise equality. Returns the mean batch
+    /// loss of the final epoch.
+    fn train_stage(
         &mut self,
         urg: &Urg,
         train_idx: &[usize],
-        batches: &[Vec<usize>],
+        fixed: Option<&FixedAssignment>,
     ) -> Result<f32, FitError> {
-        let _stage = uvd_obs::span("cmsf.master")
-            .field("epochs", self.cfg.master_epochs as f64)
-            .field("batches", batches.len() as f64);
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut tapes: Vec<(Graph, NodeId)> = Vec::with_capacity(batches.len());
-        let mut last = 0.0;
-        for epoch in 0..self.cfg.master_epochs {
-            let mut ep = uvd_obs::span("cmsf.master.epoch").field("epoch", epoch as f64);
-            let mut sum = 0.0;
-            if epoch == 0 {
-                // Recording epoch: batch k+1 is sampled/induced by the
-                // prefetch pipeline while batch k records and steps.
-                let result = self.for_each_prepared(urg, batches, None, |_, prep| {
-                    let batch = prep.batch;
-                    let mut g = Graph::new();
-                    let loss = self.record_master_tape(
-                        &mut g,
-                        &batch.sub,
-                        &batch.rows,
-                        &batch.targets,
-                        &batch.weights,
-                    );
-                    tapes.push((g, loss));
-                    let (g, loss) = tapes.last_mut().expect("tape just pushed");
-                    let l = self.train_step(g, *loss, &mut opt);
-                    sum += l;
-                    if !l.is_finite() {
-                        return Err(FitError::NonFiniteLoss);
-                    }
-                    Ok(())
-                });
-                if let Err(err) = result {
-                    self.note_peak_ws(&tapes);
-                    return Err(err);
-                }
-            } else {
-                for b_no in 0..batches.len() {
-                    tapes[b_no].0.replay();
-                    let (g, loss) = &mut tapes[b_no];
-                    let l = self.train_step(g, *loss, &mut opt);
-                    sum += l;
-                    if !l.is_finite() {
-                        self.note_peak_ws(&tapes);
-                        return Err(FitError::NonFiniteLoss);
-                    }
-                }
-            }
-            last = sum / batches.len() as f32;
-            ep.add_field("loss", f64::from(last));
-            opt.decay(self.cfg.lr_decay);
+        let cfg = self.cfg;
+        let (stage, epoch_span, epochs, lr) = match fixed {
+            None => (
+                "cmsf.master",
+                "cmsf.master.epoch",
+                cfg.master_epochs,
+                cfg.lr,
+            ),
+            // The slave stage refines an already-trained master; a smaller
+            // step size keeps the joint fine-tuning from washing out stage one.
+            Some(_) => (
+                "cmsf.slave",
+                "cmsf.slave.epoch",
+                cfg.slave_epochs,
+                cfg.lr * 0.3,
+            ),
+        };
+        let batches = self.minibatches(train_idx);
+        let mut stage_span = uvd_obs::span(stage).field("epochs", epochs as f64);
+        if let Some(batches) = &batches {
+            stage_span.add_field("batches", batches.len() as f64);
         }
-        self.note_peak_ws(&tapes);
-        // The assignment freeze stays a full-graph no-grad inference pass in
-        // both modes: activations-only memory is modest even at 350k
-        // regions, and it keeps the frozen clustering exact.
-        self.freeze_assignment(urg, train_idx);
+        let partition = fixed.map(FixedAssignment::partition);
+        let mut opt = Adam::new(lr);
+        let mut tapes: Vec<(Graph, NodeId)> = Vec::new();
+        let mut run = || -> Result<f32, FitError> {
+            let mut last = 0.0;
+            for epoch in 0..epochs {
+                let mut ep = uvd_obs::span(epoch_span).field("epoch", epoch as f64);
+                let mut sum = 0.0;
+                let mut step = |g: &mut Graph, loss: NodeId| {
+                    let l = self.step(g, loss, &mut opt);
+                    sum += l;
+                    if l.is_finite() {
+                        Ok(())
+                    } else {
+                        Err(FitError::NonFiniteLoss)
+                    }
+                };
+                if epoch == 0 {
+                    let mut record = |sub: &Urg,
+                                      (rows, targets, weights): &BceVectors,
+                                      fixed_sub: Option<&FixedAssignment>|
+                     -> Result<(), FitError> {
+                        let mut g = Graph::new();
+                        let loss = match (fixed_sub, &partition) {
+                            (Some(f), Some((c1, c0))) => self.record_slave_tape(
+                                &mut g, sub, f, c1, c0, rows, targets, weights,
+                            )?,
+                            _ => self.record_master_tape(&mut g, sub, rows, targets, weights),
+                        };
+                        tapes.push((g, loss));
+                        let (g, loss) = tapes.last_mut().expect("tape just pushed");
+                        step(g, *loss)
+                    };
+                    match &batches {
+                        None => record(urg, &self.bce_vectors(urg, train_idx), fixed)?,
+                        // Batch k+1 is sampled/induced (and, on the slave
+                        // stage, its assignment restricted) by the prefetch
+                        // pipeline while batch k records and steps.
+                        Some(batches) => self.for_each_prepared(urg, batches, fixed, |prep| {
+                            record(&prep.batch.sub, &prep.batch.bce, prep.fixed_sub.as_ref())
+                        })?,
+                    }
+                } else {
+                    for (g, loss) in tapes.iter_mut() {
+                        g.replay();
+                        step(g, *loss)?;
+                    }
+                }
+                last = sum / tapes.len() as f32;
+                ep.add_field("loss", f64::from(last));
+                opt.decay(cfg.lr_decay);
+            }
+            Ok(last)
+        };
+        let result = run();
+        // Every batch tape is held for replay, so their *sum* is what is
+        // resident at once.
+        let resident: usize = tapes.iter().map(|(g, _)| g.workspace_bytes()).sum();
+        self.peak_ws_bytes = self.peak_ws_bytes.max(resident);
+        let last = result?;
+        match fixed {
+            // The assignment freeze stays a full-graph no-grad inference
+            // pass in both modes: activations-only memory is modest even at
+            // 350k regions, and it keeps the frozen clustering exact.
+            None => self.freeze_assignment(urg, train_idx),
+            Some(_) => self.trained_slave = true,
+        }
         Ok(last)
     }
 
@@ -597,9 +618,11 @@ impl Cmsf {
         g.bce_with_logits(labeled_logits, targets.clone(), weights.clone())
     }
 
-    /// Shared epoch tail: evaluate the loss on the (recorded or replayed)
-    /// tape, backprop, and apply one optimizer step.
-    fn train_step(&self, g: &mut Graph, loss: NodeId, opt: &mut Adam) -> f32 {
+    /// One optimizer step on a (recorded or replayed) tape: evaluate the
+    /// loss, backprop, clip, and apply `opt`. Returns the loss value. The
+    /// training stages call it once per batch per epoch; timing harnesses
+    /// call it on a freshly recorded tape to time a rebuild-per-epoch.
+    pub fn step(&self, g: &mut Graph, loss: NodeId, opt: &mut Adam) -> f32 {
         let value = g.scalar(loss);
         g.backward(loss);
         g.write_grads();
@@ -608,151 +631,6 @@ impl Cmsf {
         }
         opt.step(&self.params);
         value
-    }
-
-    /// One master epoch (full-batch), recording a fresh tape. Exposed for the
-    /// Table III timing harness as the per-epoch-rebuild baseline; the
-    /// training loops in [`Cmsf::train_master`] record once and replay.
-    pub fn master_epoch(
-        &self,
-        urg: &Urg,
-        rows: &Arc<Vec<u32>>,
-        targets: &Arc<Vec<f32>>,
-        weights: &Arc<Vec<f32>>,
-        opt: &mut Adam,
-    ) -> f32 {
-        let mut g = Graph::new();
-        let repr = self.representation(&mut g, urg, None);
-        let logits = self.classifier.forward(&mut g, repr.x_final);
-        let labeled_logits = g.gather_rows(logits, rows.clone());
-        let loss = g.bce_with_logits(labeled_logits, targets.clone(), weights.clone());
-        let value = g.scalar(loss);
-        g.backward(loss);
-        g.write_grads();
-        if self.cfg.grad_clip > 0.0 {
-            self.params.clip_grad_norm(self.cfg.grad_clip);
-        }
-        opt.step(&self.params);
-        value
-    }
-
-    /// Algorithm 2: slave adaptive training stage. Requires a prior
-    /// [`Cmsf::train_master`] (which froze the assignment); running it out of
-    /// order is a typed [`FitError::StageOrder`] instead of a panic.
-    pub fn train_slave(&mut self, urg: &Urg, train_idx: &[usize]) -> Result<f32, FitError> {
-        let (Some(_), Some(_)) = (&self.gscm, &self.gate) else {
-            return Ok(0.0); // CMSF-G / CMSF-H variants skip this stage.
-        };
-        let Some(fixed) = self.fixed.clone() else {
-            return Err(FitError::StageOrder {
-                required: "train_master",
-                attempted: "train_slave",
-            });
-        };
-        if let Some(batches) = self.minibatches(train_idx) {
-            return self.train_slave_minibatch(urg, &fixed, &batches);
-        }
-        let _stage = uvd_obs::span("cmsf.slave").field("epochs", self.cfg.slave_epochs as f64);
-        let (rows, targets, weights) = self.bce_vectors(urg, train_idx);
-        let (c1, c0) = fixed.partition();
-        // The slave stage refines an already-trained master; a smaller step
-        // size keeps the joint fine-tuning from washing out stage one.
-        let mut opt = Adam::new(self.cfg.lr * 0.3);
-        let mut last = 0.0;
-        // Record the slave tape once, replay across epochs (the frozen
-        // assignment and rank-loss index sets are constants of the tape).
-        let mut g = Graph::new();
-        let loss =
-            self.record_slave_tape(&mut g, urg, &fixed, &c1, &c0, &rows, &targets, &weights)?;
-        for epoch in 0..self.cfg.slave_epochs {
-            let mut ep = uvd_obs::span("cmsf.slave.epoch").field("epoch", epoch as f64);
-            if epoch > 0 {
-                g.replay();
-            }
-            last = self.train_step(&mut g, loss, &mut opt);
-            ep.add_field("loss", f64::from(last));
-            if !last.is_finite() {
-                self.peak_ws_bytes = self.peak_ws_bytes.max(g.workspace_bytes());
-                return Err(FitError::NonFiniteLoss);
-            }
-            opt.decay(self.cfg.lr_decay);
-        }
-        self.peak_ws_bytes = self.peak_ws_bytes.max(g.workspace_bytes());
-        self.trained_slave = true;
-        Ok(last)
-    }
-
-    /// Mini-batch slave stage: the same sampled subgraphs as the master
-    /// stage (the sampler seed depends only on the batch index), with the
-    /// frozen assignment restricted to each subgraph via
-    /// [`FixedAssignment::induced`]. The rank loss keeps the *global*
-    /// cluster partition (C₁/C₀) and pseudo labels; cluster representations
-    /// are estimated from each batch's members.
-    fn train_slave_minibatch(
-        &mut self,
-        urg: &Urg,
-        fixed: &FixedAssignment,
-        batches: &[Vec<usize>],
-    ) -> Result<f32, FitError> {
-        let _stage = uvd_obs::span("cmsf.slave")
-            .field("epochs", self.cfg.slave_epochs as f64)
-            .field("batches", batches.len() as f64);
-        let (c1, c0) = fixed.partition();
-        let mut opt = Adam::new(self.cfg.lr * 0.3);
-        let mut tapes: Vec<(Graph, NodeId)> = Vec::with_capacity(batches.len());
-        let mut last = 0.0;
-        for epoch in 0..self.cfg.slave_epochs {
-            let mut ep = uvd_obs::span("cmsf.slave.epoch").field("epoch", epoch as f64);
-            let mut sum = 0.0;
-            if epoch == 0 {
-                // Recording epoch: the producer also restricts the frozen
-                // assignment to each sampled subgraph ahead of time.
-                let result = self.for_each_prepared(urg, batches, Some(fixed), |_, prep| {
-                    let batch = prep.batch;
-                    let fixed_b = prep.fixed_sub.expect("slave prepare induces assignment");
-                    let mut g = Graph::new();
-                    let loss = self.record_slave_tape(
-                        &mut g,
-                        &batch.sub,
-                        &fixed_b,
-                        &c1,
-                        &c0,
-                        &batch.rows,
-                        &batch.targets,
-                        &batch.weights,
-                    )?;
-                    tapes.push((g, loss));
-                    let (g, loss) = tapes.last_mut().expect("tape just pushed");
-                    let l = self.train_step(g, *loss, &mut opt);
-                    sum += l;
-                    if !l.is_finite() {
-                        return Err(FitError::NonFiniteLoss);
-                    }
-                    Ok(())
-                });
-                if let Err(err) = result {
-                    self.note_peak_ws(&tapes);
-                    return Err(err);
-                }
-            } else {
-                for b_no in 0..batches.len() {
-                    tapes[b_no].0.replay();
-                    let (g, loss) = &mut tapes[b_no];
-                    let l = self.train_step(g, *loss, &mut opt);
-                    sum += l;
-                    if !l.is_finite() {
-                        self.note_peak_ws(&tapes);
-                        return Err(FitError::NonFiniteLoss);
-                    }
-                }
-            }
-            last = sum / batches.len() as f32;
-            ep.add_field("loss", f64::from(last));
-            opt.decay(self.cfg.lr_decay);
-        }
-        self.note_peak_ws(&tapes);
-        self.trained_slave = true;
-        Ok(last)
     }
 
     /// Record the slave-stage tape (Algorithm 2: gated classification loss
@@ -792,32 +670,6 @@ impl Cmsf {
         // eq. 24.
         let l_p_scaled = g.scale(l_p, self.cfg.lambda);
         Ok(g.add(l_c, l_p_scaled))
-    }
-
-    /// One slave epoch (full-batch), recording a fresh tape; exposed for
-    /// timing as the per-epoch-rebuild baseline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn slave_epoch(
-        &self,
-        urg: &Urg,
-        fixed: &FixedAssignment,
-        c1: &[u32],
-        c0: &[u32],
-        rows: &Arc<Vec<u32>>,
-        targets: &Arc<Vec<f32>>,
-        weights: &Arc<Vec<f32>>,
-        opt: &mut Adam,
-    ) -> Result<f32, FitError> {
-        let mut g = Graph::new();
-        let loss = self.record_slave_tape(&mut g, urg, fixed, c1, c0, rows, targets, weights)?;
-        let value = g.scalar(loss);
-        g.backward(loss);
-        g.write_grads();
-        if self.cfg.grad_clip > 0.0 {
-            self.params.clip_grad_norm(self.cfg.grad_clip);
-        }
-        opt.step(&self.params);
-        Ok(value)
     }
 
     /// Record the detection head from an `x̃` node: GSCM (frozen) + fusion +

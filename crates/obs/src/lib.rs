@@ -432,6 +432,29 @@ pub fn warn_once(key: &'static str, msg: &str) {
 
 static WARNED_KEYS_LEN: AtomicUsize = AtomicUsize::new(0);
 
+/// Read the `UVD_*` environment knob `var` through `parse`. Returns `None`
+/// when the variable is unset, and also when `parse` rejects its value —
+/// which then warns once, naming the `accepted` forms, instead of silently
+/// picking a number. Callers apply their own fallback with `unwrap_or`.
+pub fn env_knob<T>(
+    var: &'static str,
+    accepted: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let raw = std::env::var(var).ok()?;
+    let parsed = parse(&raw);
+    if parsed.is_none() {
+        warn_once(
+            var,
+            &format!(
+                "{var}: unrecognized value '{}' (accepted: {accepted}); using the default",
+                raw.trim()
+            ),
+        );
+    }
+    parsed
+}
+
 /// Number of distinct warning keys emitted so far (test hook).
 pub fn warnings_emitted() -> usize {
     WARNED_KEYS_LEN.load(Ordering::Relaxed)
@@ -587,6 +610,16 @@ mod tests {
         warn_once("test.warn_key", "first");
         warn_once("test.warn_key", "second");
         assert_eq!(warnings_emitted(), before + 1);
+    }
+
+    #[test]
+    fn env_knob_ignores_unset_and_rejected_values() {
+        let parse = |s: &str| s.trim().parse::<u8>().ok();
+        assert_eq!(env_knob("UVD_TEST_KNOB_UNSET", "a byte", parse), None);
+        std::env::set_var("UVD_TEST_KNOB_SET", " 7 ");
+        assert_eq!(env_knob("UVD_TEST_KNOB_SET", "a byte", parse), Some(7));
+        std::env::set_var("UVD_TEST_KNOB_BAD", "seven");
+        assert_eq!(env_knob("UVD_TEST_KNOB_BAD", "a byte", parse), None);
     }
 
     #[test]

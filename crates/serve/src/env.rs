@@ -1,6 +1,6 @@
-//! Serving knobs read from the environment, mirroring the warn-once
-//! discipline of `cmsf::env`: parse failures fall back to the default and
-//! emit a single `uvd_obs::warn_once` instead of guessing or panicking.
+//! Serving knobs read from the environment through [`uvd_obs::env_knob`]:
+//! parse failures fall back to the default and warn once instead of
+//! guessing or panicking.
 //!
 //! | variable                 | meaning                                   | default |
 //! |--------------------------|-------------------------------------------|---------|
@@ -28,37 +28,25 @@ pub fn parse_max_delay_ms(raw: &str) -> Option<u64> {
     raw.trim().parse::<u64>().ok()
 }
 
-fn read_knob<T>(var: &'static str, default: T, parse: impl Fn(&str) -> Option<T>) -> T {
-    match std::env::var(var) {
-        Ok(raw) => match parse(&raw) {
-            Some(v) => v,
-            None => {
-                uvd_obs::warn_once(
-                    var,
-                    &format!("{var}={raw:?} is not a valid value; using the default"),
-                );
-                default
-            }
-        },
-        Err(_) => default,
-    }
-}
-
 /// `UVD_SERVE_BATCH`, read once per process.
 pub fn env_serve_batch() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| read_knob("UVD_SERVE_BATCH", DEFAULT_BATCH, parse_serve_batch))
+    *CACHE.get_or_init(|| {
+        uvd_obs::env_knob("UVD_SERVE_BATCH", "a positive integer", parse_serve_batch)
+            .unwrap_or(DEFAULT_BATCH)
+    })
 }
 
 /// `UVD_SERVE_MAX_DELAY_MS`, read once per process.
 pub fn env_max_delay_ms() -> u64 {
     static CACHE: OnceLock<u64> = OnceLock::new();
     *CACHE.get_or_init(|| {
-        read_knob(
+        uvd_obs::env_knob(
             "UVD_SERVE_MAX_DELAY_MS",
-            DEFAULT_MAX_DELAY_MS,
+            "a non-negative integer",
             parse_max_delay_ms,
         )
+        .unwrap_or(DEFAULT_MAX_DELAY_MS)
     })
 }
 

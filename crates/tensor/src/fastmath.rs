@@ -38,20 +38,7 @@ pub(crate) fn parse_fast_math(s: &str) -> Option<bool> {
 
 fn env_fast_math() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("UVD_FAST_MATH") {
-        Err(_) => false,
-        Ok(v) => parse_fast_math(&v).unwrap_or_else(|| {
-            uvd_obs::warn_once(
-                "UVD_FAST_MATH",
-                &format!(
-                    "UVD_FAST_MATH: unrecognized value '{}' (accepted: 0, 1); \
-                     staying on the deterministic tier",
-                    v.trim()
-                ),
-            );
-            false
-        }),
-    })
+    *ON.get_or_init(|| uvd_obs::env_knob("UVD_FAST_MATH", "0, 1", parse_fast_math).unwrap_or(false))
 }
 
 thread_local! {

@@ -97,23 +97,7 @@ pub(crate) fn isa() -> Isa {
         // and benches pin a tier below the detected one. Requests the CPU
         // cannot honor fall through to detection; unrecognized values warn
         // once and fall back to detection instead of being silently ignored.
-        let forced = match std::env::var("UVD_GEMM_ISA") {
-            Err(_) => None,
-            Ok(v) => {
-                let req = parse_isa(&v);
-                if req.is_none() {
-                    uvd_obs::warn_once(
-                        "UVD_GEMM_ISA",
-                        &format!(
-                            "UVD_GEMM_ISA: unrecognized value '{}' (accepted: \
-                             scalar, avx2, avx512); using detected ISA",
-                            v.trim()
-                        ),
-                    );
-                }
-                req
-            }
-        };
+        let forced = uvd_obs::env_knob("UVD_GEMM_ISA", "scalar, avx2, avx512", parse_isa);
         #[cfg(target_arch = "x86_64")]
         {
             if forced == Some(IsaReq::Scalar) {

@@ -56,20 +56,9 @@ fn parse_threads(s: &str) -> Option<usize> {
 
 fn env_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| match std::env::var("UVD_THREADS") {
-        Err(_) => rayon::current_num_threads(),
-        Ok(v) => parse_threads(&v).unwrap_or_else(|| {
-            let fallback = rayon::current_num_threads();
-            uvd_obs::warn_once(
-                "UVD_THREADS",
-                &format!(
-                    "UVD_THREADS: unrecognized value '{}' (accepted: a \
-                     positive integer); using {fallback} threads",
-                    v.trim()
-                ),
-            );
-            fallback
-        }),
+    *N.get_or_init(|| {
+        uvd_obs::env_knob("UVD_THREADS", "a positive integer", parse_threads)
+            .unwrap_or_else(rayon::current_num_threads)
     })
 }
 

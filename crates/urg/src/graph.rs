@@ -2,12 +2,12 @@
 //! edge construction (spatial + road connectivity), POI and image feature
 //! matrices, and the sparse structures models consume.
 
-use crate::edges::{merge_pairs, road_edges, spatial_edges};
+use crate::edges::{merge_pairs, road_edges_from, spatial_edges_dims};
 use crate::features::{poi_features, PoiFeatureOptions};
 use crate::vgg::{standardize_columns, VggSim};
 use serde_like::UrgStats;
 use std::sync::Arc;
-use uvd_citysim::{City, IMG_LEN};
+use uvd_citysim::{City, RoadNetwork, SurveyLabels, IMG_LEN};
 use uvd_tensor::graph::CsrPair;
 use uvd_tensor::{Csr, EdgeIndex, Matrix};
 
@@ -138,6 +138,61 @@ pub struct Urg {
     pub y: Vec<f32>,
 }
 
+/// The URG topology, shared by the dense [`Urg::build`] and the streamed
+/// [`crate::ShardedUrgBuilder`]: unique undirected pairs from the enabled
+/// edge sources, the directed edge index (both directions plus self-loops)
+/// for attention neighbourhoods, and the symmetrically normalized `A + I`
+/// for GCN-style propagation. Needs only the grid and the road network, so
+/// the streamed build runs it before any imagery tile is rendered.
+pub(crate) fn topology(
+    w: usize,
+    h: usize,
+    roads: &RoadNetwork,
+    opts: UrgOptions,
+) -> (Vec<(u32, u32)>, Arc<EdgeIndex>, Arc<CsrPair>) {
+    let n = w * h;
+    let pairs = {
+        let _e = uvd_obs::span("urg.edges");
+        let mut lists = Vec::new();
+        if opts.spatial {
+            lists.push(spatial_edges_dims(w, h));
+        }
+        if opts.road {
+            lists.push(road_edges_from(roads, w, opts.road_hops));
+        }
+        merge_pairs(lists)
+    };
+    let _c = uvd_obs::span("urg.csr");
+    let mut directed: Vec<(u32, u32)> = Vec::with_capacity(pairs.len() * 2 + n);
+    let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(pairs.len() * 2 + n);
+    for &(a, b) in &pairs {
+        directed.push((a, b));
+        directed.push((b, a));
+        coo.push((a, b, 1.0));
+        coo.push((b, a, 1.0));
+    }
+    for i in 0..n as u32 {
+        directed.push((i, i));
+        coo.push((i, i, 1.0));
+    }
+    let edges = Arc::new(EdgeIndex::from_pairs(n, directed));
+    let adj_norm = CsrPair::new(Csr::from_coo(n, n, coo).sym_normalized());
+    (pairs, edges, adj_norm)
+}
+
+/// The survey's labeled regions (positives and negatives), sorted by
+/// region id, with the binary labels aligned (1 = urban village).
+pub(crate) fn labeled_rows(labels: &SurveyLabels) -> (Vec<u32>, Vec<f32>) {
+    let mut labeled: Vec<(u32, f32)> = labels
+        .uv_regions
+        .iter()
+        .map(|&r| (r, 1.0))
+        .chain(labels.non_uv_regions.iter().map(|&r| (r, 0.0)))
+        .collect();
+    labeled.sort_unstable_by_key(|&(r, _)| r);
+    labeled.into_iter().unzip()
+}
+
 impl Urg {
     /// Build the URG from a city with the given options.
     pub fn build(city: &City, opts: UrgOptions) -> Urg {
@@ -145,43 +200,7 @@ impl Urg {
         let n = city.n_regions();
         _s.add_field("n_regions", n as f64);
 
-        let pairs = {
-            let _e = uvd_obs::span("urg.edges");
-            let mut lists = Vec::new();
-            if opts.spatial {
-                lists.push(spatial_edges(city));
-            }
-            if opts.road {
-                lists.push(road_edges(city, opts.road_hops));
-            }
-            merge_pairs(lists)
-        };
-
-        let (edges, adj_norm) = {
-            let _c = uvd_obs::span("urg.csr");
-            // Directed edges + self-loops for attention neighbourhoods.
-            let mut directed: Vec<(u32, u32)> = Vec::with_capacity(pairs.len() * 2 + n);
-            for &(a, b) in &pairs {
-                directed.push((a, b));
-                directed.push((b, a));
-            }
-            for i in 0..n as u32 {
-                directed.push((i, i));
-            }
-            let edges = Arc::new(EdgeIndex::from_pairs(n, directed));
-
-            // Normalized adjacency (A + I) for GCN baselines.
-            let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(pairs.len() * 2 + n);
-            for &(a, b) in &pairs {
-                coo.push((a, b, 1.0));
-                coo.push((b, a, 1.0));
-            }
-            for i in 0..n as u32 {
-                coo.push((i, i, 1.0));
-            }
-            let adj_norm = CsrPair::new(Csr::from_coo(n, n, coo).sym_normalized());
-            (edges, adj_norm)
-        };
+        let (pairs, edges, adj_norm) = topology(city.width, city.height, &city.roads, opts);
         _s.add_field("n_edges", edges.n_edges() as f64);
 
         let (x_poi, x_img, raw_images) = {
@@ -197,16 +216,7 @@ impl Urg {
             (x_poi, x_img, raw_images)
         };
 
-        // Labeled set: positives then negatives, sorted by region id.
-        let mut labeled: Vec<(u32, f32)> = city
-            .labels
-            .uv_regions
-            .iter()
-            .map(|&r| (r, 1.0))
-            .chain(city.labels.non_uv_regions.iter().map(|&r| (r, 0.0)))
-            .collect();
-        labeled.sort_unstable_by_key(|&(r, _)| r);
-        let (labeled, y): (Vec<u32>, Vec<f32>) = labeled.into_iter().unzip();
+        let (labeled, y) = labeled_rows(&city.labels);
 
         Urg {
             name: city.name.clone(),

@@ -17,19 +17,19 @@
 //! the classic ghost-cell layout, shaped by the row-block partition the
 //! tile stream produces naturally.
 //!
-//! Equivalence contract: [`ShardedUrg::to_urg`] is bitwise identical to
+//! Equivalence contract: [`ShardedUrg::into_urg`] is bitwise identical to
 //! `Urg::build(&stream.collect_city(), opts)` in every field except
 //! `raw_images` (kept `None` — pixel-space baselines need the monolithic
-//! path). Edge construction uses the same code (`spatial_edges_dims`,
-//! `road_edges_from`), POI rows are per-region pure functions of the
-//! shared index, VGG rows are per-region pure functions of the tile
-//! pixels, and standardization uses [`standardize_blocks`], which runs the
-//! monolithic `f64` accumulator chain over the blocks in row order.
+//! path). Topology and labels come from the functions the dense build
+//! uses (`graph::topology`, `graph::labeled_rows`), POI rows are
+//! per-region pure functions of the shared index, VGG rows are per-region
+//! pure functions of the tile pixels, and standardization uses
+//! [`standardize_blocks`], which runs the monolithic `f64` accumulator
+//! chain over the blocks in row order.
 
-use crate::edges::{merge_pairs, road_edges_from, spatial_edges_dims};
 use crate::features::{poi_features_rows, PoiSpatialIndex};
 use crate::graph::serde_like::{ShardStats, UrgStats};
-use crate::graph::{Urg, UrgOptions};
+use crate::graph::{labeled_rows, topology, Urg, UrgOptions};
 use crate::vgg::{standardize_blocks, VggSim};
 use std::sync::Arc;
 use uvd_citysim::{CityStream, CityTile, SurveyLabels};
@@ -101,36 +101,7 @@ impl ShardedUrgBuilder {
     pub fn from_skeleton(stream: &CityStream, opts: UrgOptions) -> ShardedUrgBuilder {
         let (w, h) = (stream.width(), stream.height());
         let n = w * h;
-        let pairs = {
-            let _e = uvd_obs::span("urg.edges");
-            let mut lists = Vec::new();
-            if opts.spatial {
-                lists.push(spatial_edges_dims(w, h));
-            }
-            if opts.road {
-                lists.push(road_edges_from(stream.roads(), w, opts.road_hops));
-            }
-            merge_pairs(lists)
-        };
-
-        let (edges, adj_norm) = {
-            let _c = uvd_obs::span("urg.csr");
-            let mut directed: Vec<(u32, u32)> = Vec::with_capacity(pairs.len() * 2 + n);
-            let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(pairs.len() * 2 + n);
-            for &(a, b) in &pairs {
-                directed.push((a, b));
-                directed.push((b, a));
-                coo.push((a, b, 1.0));
-                coo.push((b, a, 1.0));
-            }
-            for i in 0..n as u32 {
-                directed.push((i, i));
-                coo.push((i, i, 1.0));
-            }
-            let edges = Arc::new(EdgeIndex::from_pairs(n, directed));
-            let adj_norm = CsrPair::new(Csr::from_coo(n, n, coo).sym_normalized());
-            (edges, adj_norm)
-        };
+        let (pairs, edges, adj_norm) = topology(w, h, stream.roads(), opts);
         let poi_index = PoiSpatialIndex::from_parts(w, h, stream.pois());
 
         ShardedUrgBuilder {
@@ -227,14 +198,7 @@ impl ShardedUrgBuilder {
                 s.x_img = b;
             }
         }
-        let mut labeled: Vec<(u32, f32)> = labels
-            .uv_regions
-            .iter()
-            .map(|&r| (r, 1.0))
-            .chain(labels.non_uv_regions.iter().map(|&r| (r, 0.0)))
-            .collect();
-        labeled.sort_unstable_by_key(|&(r, _)| r);
-        let (labeled, y): (Vec<u32>, Vec<f32>) = labeled.into_iter().unzip();
+        let (labeled, y) = labeled_rows(labels);
 
         ShardedUrg {
             name: self.name,
@@ -373,45 +337,11 @@ impl ShardedUrg {
 
     /// Materialize a monolithic [`Urg`] by concatenating the shard feature
     /// blocks. Bitwise identical to `Urg::build` on the equivalent city in
-    /// every field except `raw_images` (left `None`). Cheap for small
-    /// cities; at Beijing scale it costs the ~450 MB concatenated feature
-    /// matrices but still never touches the 4.3 GB of imagery.
-    pub fn to_urg(&self) -> Urg {
-        let poi_d = self.poi_dim();
-        let img_d = self.img_dim();
-        let mut x_poi = Matrix::zeros(self.n, poi_d);
-        let mut x_img = Matrix::zeros(self.n, img_d);
-        for s in &self.shards {
-            for r in 0..s.n_regions {
-                x_poi
-                    .row_mut(s.region_start + r)
-                    .copy_from_slice(s.x_poi.row(r));
-                x_img
-                    .row_mut(s.region_start + r)
-                    .copy_from_slice(s.x_img.row(r));
-            }
-        }
-        Urg {
-            name: self.name.clone(),
-            n: self.n,
-            width: self.width,
-            height: self.height,
-            pairs: self.pairs.clone(),
-            edges: self.edges.clone(),
-            adj_norm: self.adj_norm.clone(),
-            x_poi,
-            x_img,
-            raw_images: None,
-            labeled: self.labeled.clone(),
-            y: self.y.clone(),
-        }
-    }
-
-    /// Consuming variant of [`ShardedUrg::to_urg`]: each shard's feature
-    /// blocks are freed right after they are copied into the concatenated
-    /// matrices, so peak memory stays at ~1× the feature footprint instead
-    /// of the 2× a borrow-then-drop sequence would hold. This is what the
-    /// scaling harness uses to hand a streamed build to the trainer.
+    /// every field except `raw_images` (left `None`); never touches the
+    /// imagery. Each shard's feature blocks are freed right after they are
+    /// copied into the concatenated matrices, so peak memory stays at ~1×
+    /// the feature footprint (the ~450 MB matrices at Beijing scale). This
+    /// is how the scaling harness hands a streamed build to the trainer.
     pub fn into_urg(mut self) -> Urg {
         let poi_d = self.poi_dim();
         let img_d = self.img_dim();
@@ -457,22 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn into_urg_matches_to_urg() {
-        let a = streamed(11, 5, UrgOptions::default()).to_urg();
-        let b = streamed(11, 5, UrgOptions::default()).into_urg();
-        assert_eq!(a.x_poi, b.x_poi);
-        assert_eq!(a.x_img, b.x_img);
-        assert_eq!(a.pairs, b.pairs);
-        assert_eq!(a.labeled, b.labeled);
-        assert_eq!(a.y, b.y);
-    }
-
-    #[test]
-    fn to_urg_matches_monolithic_build_bitwise() {
+    fn into_urg_matches_monolithic_build_bitwise() {
         let city = City::from_config(CityPreset::tiny(), 11);
         let mono = Urg::build(&city, UrgOptions::default());
-        let sharded = streamed(11, 5, UrgOptions::default());
-        let urg = sharded.to_urg();
+        let urg = streamed(11, 5, UrgOptions::default()).into_urg();
         assert_eq!(urg.pairs, mono.pairs);
         assert_eq!(urg.edges.n_edges(), mono.edges.n_edges());
         assert_eq!(urg.edges.src(), mono.edges.src());
@@ -540,7 +458,7 @@ mod tests {
             .sum();
         assert_eq!(directed, stats.n_edges);
         // The monolithic stats agree on the Table I fields.
-        let mono = sharded.to_urg().stats();
+        let mono = sharded.into_urg().stats();
         assert_eq!(stats.name, mono.name);
         assert_eq!(stats.n_regions, mono.n_regions);
         assert_eq!(stats.n_edges, mono.n_edges);
@@ -552,7 +470,7 @@ mod tests {
     #[test]
     fn gather_rows_match_concatenated_features() {
         let sharded = streamed(4, 3, UrgOptions::default());
-        let urg = sharded.to_urg();
+        let urg = streamed(4, 3, UrgOptions::default()).into_urg();
         let nodes: Vec<u32> = vec![0, 17, 18, 100, (sharded.n - 1) as u32];
         let poi = sharded.gather_poi_rows(&nodes);
         let img = sharded.gather_img_rows(&nodes);
@@ -564,8 +482,8 @@ mod tests {
 
     #[test]
     fn tile_height_does_not_change_features() {
-        let a = streamed(5, 2, UrgOptions::default()).to_urg();
-        let b = streamed(5, 18, UrgOptions::default()).to_urg();
+        let a = streamed(5, 2, UrgOptions::default()).into_urg();
+        let b = streamed(5, 18, UrgOptions::default()).into_urg();
         assert_eq!(a.x_img, b.x_img);
         assert_eq!(a.x_poi, b.x_poi);
     }
@@ -574,6 +492,6 @@ mod tests {
     fn image_ablation_streams_without_vgg() {
         let sharded = streamed(6, 5, UrgOptions::no_image());
         assert_eq!(sharded.img_dim(), 0);
-        assert_eq!(sharded.to_urg().x_img.cols(), 0);
+        assert_eq!(sharded.into_urg().x_img.cols(), 0);
     }
 }

@@ -8,12 +8,14 @@ cargo fmt --all --check
 # non-finite bugs this repo guards against slip back in.
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::float_cmp
 cargo test --workspace -q
-# Thread-count matrix for the tensor runtime in release mode: kernels must
-# stay correct when concurrent callers share the pool and a waiting thread
-# helps run another caller's chunks (thread-local scratch is never held
-# across a dispatch), at one, two and more threads than cores.
+# Thread-count matrix for the tensor runtime and the CMSF trainer in
+# release mode: kernels must stay correct when concurrent callers share the
+# pool and a waiting thread helps run another caller's chunks (thread-local
+# scratch is never held across a dispatch), and the training pins (fit
+# golden, prefetch equivalence, legacy fold) must hold bitwise, at one, two
+# and more threads than cores.
 for threads in 1 2 7; do
-    UVD_THREADS=$threads cargo test -p uvd-tensor --release -q
+    UVD_THREADS=$threads cargo test -p uvd-tensor -p cmsf --release -q
 done
 # Zero-allocation replay regression gate: steady-state epochs must not
 # touch the heap (counting global allocator; release, single-threaded).
