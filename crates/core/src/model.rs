@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use uvd_nn::{Activation, FusionAgg, Linear, Mlp};
 use uvd_tensor::init::{derive_seed, seeded_rng};
-use uvd_tensor::{par, Adam, Graph, NeighborSampler, NodeId, ParamSet};
+use uvd_tensor::{fastmath, par, Adam, Graph, NeighborSampler, NodeId, ParamSet};
 use uvd_urg::{Detector, FitError, FitReport, Urg};
 
 /// Prefetched batch consumed without blocking (it was ready in the queue).
@@ -392,24 +392,28 @@ impl Cmsf {
             }
             return Ok(());
         }
-        // Thread-pool overrides are thread-local: capture the caller's
-        // effective width and re-install it on the producer so batch
-        // preparation parallelizes (and chunks) exactly as it would inline.
+        // Thread-pool and fast-math overrides are thread-local: capture the
+        // caller's effective width and tier and re-install them on the
+        // producer so batch preparation parallelizes (and chunks, and
+        // rounds) exactly as it would inline.
         let threads = par::effective_threads();
+        let fm = fastmath::enabled();
         std::thread::scope(|scope| {
             let (tx, rx) = std::sync::mpsc::sync_channel(self.cfg.prefetch);
             scope.spawn(move || {
                 par::with_threads(threads, || {
-                    for (b_no, b_idx) in batches.iter().enumerate() {
-                        let item = prepare(b_no, b_idx);
-                        let failed = item.is_err();
-                        // A send error means the consumer bailed (train-step
-                        // error path); a preparation error is forwarded and
-                        // ends the stream.
-                        if tx.send(item).is_err() || failed {
-                            break;
+                    fastmath::with_fast_math(fm, || {
+                        for (b_no, b_idx) in batches.iter().enumerate() {
+                            let item = prepare(b_no, b_idx);
+                            let failed = item.is_err();
+                            // A send error means the consumer bailed (train-step
+                            // error path); a preparation error is forwarded and
+                            // ends the stream.
+                            if tx.send(item).is_err() || failed {
+                                break;
+                            }
                         }
-                    }
+                    })
                 });
             });
             for _ in batches {

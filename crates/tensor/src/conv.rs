@@ -1,8 +1,10 @@
-//! im2col-based 2-D convolution and max-pooling kernels.
+//! im2col-based 2-D convolution and max-pooling kernels, plus
+//! [`ConvPoolStack`], a frozen direct-convolution inference stack.
 //!
 //! Images are stored one per matrix row in `C*H*W` (channel-major) layout, so
 //! a batch of `n` images of shape `(C, H, W)` is an `n × (C*H*W)` [`Matrix`].
 
+use crate::gemm::Isa;
 use crate::matrix::Matrix;
 use crate::par;
 use std::cell::Cell;
@@ -16,6 +18,9 @@ thread_local! {
     static KERNEL_PACK: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Per-worker im2col column scratch (capacity reused across samples).
     static COLS_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// Per-worker [`ConvPoolStack`] scratch: padded stage planes plus one
+    /// stage output (capacity reused across calls).
+    static STACK_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
 /// Run `f` on a scratch buffer taken out of `cell` for the duration of the
@@ -462,6 +467,558 @@ pub fn maxpool2_backward_batch(x: &Matrix, dy: &Matrix, m: &PoolMeta) -> Matrix 
         }
     });
     dx
+}
+
+/// Widest output tile any tier uses, in pixels (the AVX-512 tier's 16 lanes).
+const MAX_TILE: usize = 16;
+
+/// One row segment of an output tile: `len` consecutive output pixels of one
+/// row, landing in tile lanes `lane..lane + len`. `base` is the padded-plane
+/// index of the segment's first pixel under tap `(c, ky, kx) = (0, 0, 0)`,
+/// so tap `p` of that pixel sits at `base + off[p]`.
+#[derive(Clone, Copy, Default)]
+struct Seg {
+    lane: usize,
+    len: usize,
+    base: usize,
+}
+
+/// An output tile of a stack stage: flattened output pixels `q0..q0 + qv`
+/// (split into row segments) times output channels `co0..co0 + cv`.
+struct Tile {
+    q0: usize,
+    qv: usize,
+    co0: usize,
+    cv: usize,
+    segs: [Seg; MAX_TILE],
+    nseg: usize,
+}
+
+impl Tile {
+    /// Cover flattened pixels `q0..q0 + qv` of a `w`-wide output whose
+    /// padded input rows are `wp` wide.
+    fn set_pixels(&mut self, q0: usize, qv: usize, w: usize, wp: usize) {
+        self.q0 = q0;
+        self.qv = qv;
+        self.nseg = 0;
+        let mut q = q0;
+        while q < q0 + qv {
+            let (oy, ox) = (q / w, q % w);
+            let len = (w - ox).min(q0 + qv - q);
+            self.segs[self.nseg] = Seg {
+                lane: q - q0,
+                len,
+                base: oy * wp + ox,
+            };
+            self.nseg += 1;
+            q += len;
+        }
+    }
+
+    fn segs(&self) -> &[Seg] {
+        &self.segs[..self.nseg]
+    }
+
+    /// Check the bounds the SIMD tile kernels' raw loads and stores rely
+    /// on, for a tier with `nc`-channel blocks and `tw`-pixel tiles: every
+    /// segment's pixels under every tap lie inside `src` (taps ascend, so
+    /// the last is the farthest) and start at or after lane 0's address,
+    /// every weight row holds `co0 + nc` entries, and the tile's pixels of
+    /// its real channels lie inside `y`. A few compares per tile.
+    fn assert_in_bounds(&self, st: &StackStage, nc: usize, tw: usize, src: &[f32], y: &[f32]) {
+        let last = *st.off.last().expect("a stage has taps");
+        assert!((1..=tw).contains(&self.qv) && (1..=nc).contains(&self.cv));
+        assert!(self.co0 + nc <= st.ldw && st.wt.len() == st.off.len() * st.ldw);
+        assert!(self
+            .segs()
+            .iter()
+            .all(|s| s.lane <= s.base && s.base + last + s.len <= src.len()));
+        assert!((self.co0 + self.cv - 1) * st.h * st.w + self.q0 + self.qv <= y.len());
+    }
+}
+
+/// One frozen stage of a [`ConvPoolStack`]: 3×3 stride-1 pad-1 conv, ReLU,
+/// 2×2 max pool.
+struct StackStage {
+    c_in: usize,
+    h: usize,
+    w: usize,
+    c_out: usize,
+    /// Kernel transposed to `(c_in*9) × ldw` (row `p` holds tap `p`'s weight
+    /// for every output channel), channels zero-padded to `ldw`, a multiple
+    /// of the widest channel block.
+    wt: Vec<f32>,
+    ldw: usize,
+    /// Tap offsets into the padded input plane, in im2col row order:
+    /// `off[(c*3 + ky)*3 + kx] = (c*(h+2) + ky)*(w+2) + kx` — ascending,
+    /// since `kx < w+2` and `ky < h+2`.
+    off: Vec<usize>,
+    /// Start of this stage's zero-padded input plane in the worker scratch.
+    pad_at: usize,
+}
+
+impl StackStage {
+    fn hp(&self) -> usize {
+        self.h + 2
+    }
+
+    fn wp(&self) -> usize {
+        self.w + 2
+    }
+
+    fn pad_len(&self) -> usize {
+        self.c_in * self.hp() * self.wp()
+    }
+}
+
+/// A frozen conv→ReLU→2×2-max-pool inference stack (VGG-style feature
+/// extraction), evaluated by direct convolution: no im2col matrix, no
+/// per-sample pack, ReLU and pooling fused into one pass.
+///
+/// Each output tile (8 or 16 pixels by a block of output channels) keeps
+/// its accumulators in registers and reads tap `p` of its pixels straight
+/// from the zero-padded input plane at `base + off[p]`. Every output
+/// element is the chain `0.0 + w₀·x₀ + w₁·x₁ + …` over the taps in im2col
+/// row order, with separate mul and add — the chain the packed GEMM runs on
+/// the im2col columns (padded taps are `w·0` products in both) — so the
+/// stack is **bitwise identical** to [`conv2d_batch`] + ReLU +
+/// [`maxpool2_batch`], at any thread count and on every ISA tier. Under the
+/// fast-math tier the steps are fused multiply-adds instead.
+///
+/// Samples are partitioned across threads; each worker owns one
+/// take-and-restore scratch holding every stage's padded input plane
+/// (borders zeroed once per call, interiors overwritten per sample) and one
+/// stage output, so steady-state samples never touch the heap.
+pub struct ConvPoolStack {
+    stages: Vec<StackStage>,
+    in_len: usize,
+    out_len: usize,
+    /// Start of the stage-output buffer in the worker scratch.
+    y_at: usize,
+    scratch_len: usize,
+    sample_work: usize,
+}
+
+impl ConvPoolStack {
+    /// Freeze `stages`, each a `(meta, kernel)` pair with a `c_out ×
+    /// (c_in*9)` kernel. Every stage must be a 3×3, stride-1, pad-1 conv;
+    /// stage `s+1` consumes stage `s`'s pooled output
+    /// (`c_out × h/2 × w/2`), and every pooled output must be non-empty.
+    pub fn new(stages: &[(ConvMeta, Matrix)]) -> Self {
+        assert!(!stages.is_empty(), "conv stack needs at least one stage");
+        let mut built: Vec<StackStage> = Vec::with_capacity(stages.len());
+        let mut at = 0;
+        let mut y_len = 0;
+        for (meta, kernel) in stages {
+            assert!(
+                meta.k == 3 && meta.stride == 1 && meta.pad == 1,
+                "conv stack stages are 3x3 stride-1 pad-1 convs: {meta:?}"
+            );
+            assert!(
+                meta.h_in >= 2 && meta.w_in >= 2 && meta.c_in > 0 && meta.c_out > 0,
+                "conv stack stage must pool to a non-empty output: {meta:?}"
+            );
+            if let Some(prev) = built.last() {
+                assert_eq!(
+                    (meta.c_in, meta.h_in, meta.w_in),
+                    (prev.c_out, prev.h / 2, prev.w / 2),
+                    "conv stack stage input must be the previous pooled output"
+                );
+            }
+            let (co, klen) = meta.kernel_shape();
+            assert_eq!(kernel.shape(), (co, klen), "conv stack kernel shape");
+            let ldw = co.next_multiple_of(MAX_TILE);
+            let mut wt = vec![0.0f32; klen * ldw];
+            for c in 0..co {
+                for (p, &v) in kernel.row(c).iter().enumerate() {
+                    wt[p * ldw + c] = v;
+                }
+            }
+            let (hp, wp) = (meta.h_in + 2, meta.w_in + 2);
+            let off = (0..klen)
+                .map(|p| {
+                    let (c, ky, kx) = (p / 9, p / 3 % 3, p % 3);
+                    (c * hp + ky) * wp + kx
+                })
+                .collect();
+            let stage = StackStage {
+                c_in: meta.c_in,
+                h: meta.h_in,
+                w: meta.w_in,
+                c_out: co,
+                wt,
+                ldw,
+                off,
+                pad_at: at,
+            };
+            at += stage.pad_len();
+            y_len = y_len.max(co * meta.h_in * meta.w_in);
+            built.push(stage);
+        }
+        let first = &built[0];
+        let last = &built[built.len() - 1];
+        let in_len = first.c_in * first.h * first.w;
+        let out_len = last.c_out * (last.h / 2) * (last.w / 2);
+        // Per-sample work estimate for the dispatch threshold: one op per
+        // 16-lane multiply-add step. VGG-sim's 663k MACs per 3×32×32 image
+        // give ~41k, against ~26 µs measured per image on one core of a
+        // 2-vCPU x86-64 VM (AVX-512 tier) — the ~1 op/ns scale of the
+        // crate's other estimates, so two images already go parallel.
+        let macs: usize = built
+            .iter()
+            .map(|s| s.off.len() * s.c_out * s.h * s.w)
+            .sum();
+        ConvPoolStack {
+            stages: built,
+            in_len,
+            out_len,
+            y_at: at,
+            scratch_len: at + y_len,
+            sample_work: macs / MAX_TILE,
+        }
+    }
+
+    /// Flattened input length per sample.
+    pub fn in_len(&self) -> usize {
+        self.in_len
+    }
+
+    /// Flattened output length per sample (last stage's pooled output).
+    pub fn out_len(&self) -> usize {
+        self.out_len
+    }
+
+    /// Run the stack on `x` (`n * in_len` values, one sample after
+    /// another) into an `n × out_len` matrix.
+    pub fn forward(&self, x: &[f32]) -> Matrix {
+        let n = x.len() / self.in_len;
+        assert_eq!(x.len(), n * self.in_len, "conv stack input length");
+        let mut out = Matrix::zeros(n, self.out_len);
+        // Resolved on the calling thread and handed to the workers.
+        let is = crate::gemm::isa();
+        let fm = crate::gemm::fast_math_active();
+        let (in_len, out_len) = (self.in_len, self.out_len);
+        let work = n * self.sample_work;
+        par::for_each_row_block(out.as_mut_slice(), out_len, work, |samples, chunk| {
+            with_scratch(&STACK_SCRATCH, |buf| {
+                // Zero the whole scratch once: the padded borders are never
+                // written afterwards, the interiors are overwritten per sample.
+                buf.clear();
+                buf.resize(self.scratch_len, 0.0);
+                for (si, i) in samples.enumerate() {
+                    self.forward_one(
+                        is,
+                        fm,
+                        &x[i * in_len..(i + 1) * in_len],
+                        buf,
+                        &mut chunk[si * out_len..(si + 1) * out_len],
+                    );
+                }
+            });
+        });
+        out
+    }
+
+    fn forward_one(&self, is: Isa, fm: bool, sample: &[f32], buf: &mut [f32], out: &mut [f32]) {
+        let (planes, y) = buf.split_at_mut(self.y_at);
+        let first = &self.stages[0];
+        let (h, w, wp) = (first.h, first.w, first.wp());
+        for c in 0..first.c_in {
+            for r in 0..h {
+                let dst = first.pad_at + (c * first.hp() + r + 1) * wp + 1;
+                planes[dst..dst + w].copy_from_slice(&sample[(c * h + r) * w..(c * h + r + 1) * w]);
+            }
+        }
+        for (s, stage) in self.stages.iter().enumerate() {
+            let src = &planes[stage.pad_at..stage.pad_at + stage.pad_len()];
+            conv_stage(stage, is, fm, src, y);
+            match self.stages.get(s + 1) {
+                // Pool straight into the next stage's padded interior.
+                Some(next) => relu_pool(
+                    stage,
+                    y,
+                    &mut planes[next.pad_at..next.pad_at + next.pad_len()],
+                    next.wp() + 1,
+                    next.hp() * next.wp(),
+                    next.wp(),
+                ),
+                None => {
+                    let (ho, wo) = (stage.h / 2, stage.w / 2);
+                    relu_pool(stage, y, out, 0, ho * wo, wo);
+                }
+            }
+        }
+    }
+}
+
+/// Direct 3×3 conv of one stage: every output tile of `y` (`c_out × h*w`,
+/// fully overwritten) on the chosen tier.
+fn conv_stage(st: &StackStage, is: Isa, fm: bool, src: &[f32], y: &mut [f32]) {
+    let (tw, nc) = match is {
+        Isa::Scalar => (8, 4),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => (8, 8),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => (16, if st.c_out <= 8 { 8 } else { 16 }),
+    };
+    let hw = st.h * st.w;
+    let mut t = Tile {
+        q0: 0,
+        qv: 0,
+        co0: 0,
+        cv: 0,
+        segs: [Seg::default(); MAX_TILE],
+        nseg: 0,
+    };
+    for q0 in (0..hw).step_by(tw) {
+        t.set_pixels(q0, (hw - q0).min(tw), st.w, st.wp());
+        for co0 in (0..st.c_out).step_by(nc) {
+            t.co0 = co0;
+            t.cv = (st.c_out - co0).min(nc);
+            t.assert_in_bounds(st, nc, tw, src, y);
+            match is {
+                // The scalar tier has no FMA guarantee; fast-math requests
+                // fall back to the deterministic chain (as in `gemm`).
+                Isa::Scalar => tile_scalar(&t, st, src, y),
+                // SAFETY: `isa()` returns these tiers only after runtime
+                // detection of the matching CPU feature, `fm` is only true
+                // when `fma` was detected (`fast_math_active`), and the tile
+                // passed `assert_in_bounds` for this tier's `nc` and `tw`.
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2 => unsafe {
+                    if fm {
+                        tile_avx2_fma(&t, st, src, y)
+                    } else {
+                        tile_avx2(&t, st, src, y)
+                    }
+                },
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx512 => unsafe {
+                    match (nc, fm) {
+                        (8, false) => tile_avx512::<8, false>(&t, st, src, y),
+                        (8, true) => tile_avx512::<8, true>(&t, st, src, y),
+                        (_, false) => tile_avx512::<16, false>(&t, st, src, y),
+                        (_, true) => tile_avx512::<16, true>(&t, st, src, y),
+                    }
+                },
+            }
+        }
+    }
+}
+
+/// Portable tile kernel: 4 channels × 8 pixels of accumulators. Tap `p`'s
+/// pixel row is gathered from the padded plane segment by segment (lanes
+/// past `qv` stay zero and are never stored), then every accumulator takes
+/// `acc + w·x` with separate mul and add.
+#[inline(always)]
+fn tile_scalar(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
+    const NC: usize = 4;
+    const TW: usize = 8;
+    let (wt, off, ldw, hw) = (&st.wt[..], &st.off[..], st.ldw, st.h * st.w);
+    let mut acc = [[0.0f32; TW]; NC];
+    let mut b = [0.0f32; TW];
+    let segs = t.segs();
+    let full = segs.len() == 1 && segs[0].len == TW;
+    for (p, &o) in off.iter().enumerate() {
+        if full {
+            b.copy_from_slice(&src[segs[0].base + o..segs[0].base + o + TW]);
+        } else {
+            for s in segs {
+                b[s.lane..s.lane + s.len].copy_from_slice(&src[s.base + o..s.base + o + s.len]);
+            }
+        }
+        let w: &[f32; NC] = wt[p * ldw + t.co0..p * ldw + t.co0 + NC]
+            .try_into()
+            .expect("weight row");
+        for (acc_row, &wv) in acc.iter_mut().zip(w) {
+            for (a, &bv) in acc_row.iter_mut().zip(&b) {
+                *a += wv * bv;
+            }
+        }
+    }
+    for (j, acc_row) in acc.iter().enumerate().take(t.cv) {
+        let o = (t.co0 + j) * hw + t.q0;
+        y[o..o + t.qv].copy_from_slice(&acc_row[..t.qv]);
+    }
+}
+
+/// AVX2 tile kernel: one ymm accumulator (8 pixels) per output channel,
+/// eight channels per tile. Tap `p`'s pixels are one unaligned load from
+/// the padded plane; a tile that spans rows or ends early gathers its
+/// segments into a zero-padded lane buffer first.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (and FMA when `FMA`), and `t` must have
+/// passed [`Tile::assert_in_bounds`] with `nc = 8`, `tw = 8`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_avx2_body<const FMA: bool>(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
+    use std::arch::x86_64::*;
+    const NC: usize = 8;
+    let (ldw, hw) = (st.ldw, st.h * st.w);
+    let segs = t.segs();
+    let full = segs.len() == 1 && segs[0].len == 8;
+    // SAFETY: per `assert_in_bounds`, a full tile's load
+    // `src[base + o..base + o + 8]` is in bounds for every tap; partial
+    // tiles load from the local lane buffer. Weight reads stay within row
+    // `p` (`co0 + 8 <= ldw`), and full-width stores only happen when all 8
+    // pixels are real (`qv == 8`) inside `y`.
+    unsafe {
+        let sp = src.as_ptr();
+        let mut lanes = [0.0f32; 8];
+        let mut acc = [_mm256_setzero_ps(); NC];
+        let mut wp = st.wt.as_ptr().add(t.co0);
+        for &o in &st.off {
+            let b = if full {
+                _mm256_loadu_ps(sp.add(segs[0].base + o))
+            } else {
+                for s in segs {
+                    lanes[s.lane..s.lane + s.len]
+                        .copy_from_slice(&src[s.base + o..s.base + o + s.len]);
+                }
+                _mm256_loadu_ps(lanes.as_ptr())
+            };
+            for (j, a) in acc.iter_mut().enumerate() {
+                let wv = _mm256_set1_ps(*wp.add(j));
+                *a = if FMA {
+                    _mm256_fmadd_ps(wv, b, *a)
+                } else {
+                    _mm256_add_ps(*a, _mm256_mul_ps(wv, b))
+                };
+            }
+            wp = wp.add(ldw);
+        }
+        let yp = y.as_mut_ptr().add(t.q0);
+        for (j, a) in acc.iter().enumerate().take(t.cv) {
+            let dst = yp.add((t.co0 + j) * hw);
+            if t.qv == 8 {
+                _mm256_storeu_ps(dst, *a);
+            } else {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), *a);
+                std::ptr::copy_nonoverlapping(lanes.as_ptr(), dst, t.qv);
+            }
+        }
+    }
+}
+
+/// # Safety
+///
+/// As [`tile_avx2_body`] without FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
+    // SAFETY: forwarded from the caller.
+    unsafe { tile_avx2_body::<false>(t, st, src, y) }
+}
+
+/// # Safety
+///
+/// As [`tile_avx2_body`] with FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tile_avx2_fma(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
+    // SAFETY: forwarded from the caller.
+    unsafe { tile_avx2_body::<true>(t, st, src, y) }
+}
+
+/// AVX-512 tile kernel: one zmm accumulator (16 pixels) per output channel.
+/// Tap `p`'s pixels are one unaligned load from the padded plane, or one
+/// masked load per row segment when the tile spans rows (the 8-wide stage's
+/// tile is two half-loads) or ends early. `_mm512_mul_ps` +
+/// `_mm512_add_ps` stay separate (no FMA) unless `FMA`, so each step rounds
+/// exactly like the scalar chain.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `t` must have passed
+/// [`Tile::assert_in_bounds`] with `nc = NC`, `tw = 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const NC: usize, const FMA: bool>(
+    t: &Tile,
+    st: &StackStage,
+    src: &[f32],
+    y: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let (ldw, hw) = (st.ldw, st.h * st.w);
+    let segs = t.segs();
+    // SAFETY: per `assert_in_bounds`, a segment's masked load touches only
+    // lanes `lane..lane + len`, i.e. `src[base + o..base + o + len]`, in
+    // bounds for every tap, and `base >= lane`, so the lane-0 pointer never
+    // precedes `src`. Weight reads stay within row `p` (`co0 + NC <= ldw`);
+    // stores are masked to the tile's `qv` pixels of its `cv` real channels.
+    unsafe {
+        let sp = src.as_ptr();
+        let full = segs.len() == 1 && segs[0].len == 16;
+        let masks: [__mmask16; MAX_TILE] = std::array::from_fn(|i| {
+            segs.get(i)
+                .map_or(0, |s| (((1u32 << s.len) - 1) << s.lane) as __mmask16)
+        });
+        let mut acc = [_mm512_setzero_ps(); NC];
+        let mut wp = st.wt.as_ptr().add(t.co0);
+        for &o in &st.off {
+            let b = if full {
+                _mm512_loadu_ps(sp.add(segs[0].base + o))
+            } else {
+                let mut b = _mm512_setzero_ps();
+                for (s, &m) in segs.iter().zip(&masks) {
+                    b = _mm512_mask_loadu_ps(b, m, sp.add(s.base + o - s.lane));
+                }
+                b
+            };
+            for (j, a) in acc.iter_mut().enumerate() {
+                let wv = _mm512_set1_ps(*wp.add(j));
+                *a = if FMA {
+                    _mm512_fmadd_ps(wv, b, *a)
+                } else {
+                    _mm512_add_ps(*a, _mm512_mul_ps(wv, b))
+                };
+            }
+            wp = wp.add(ldw);
+        }
+        let store = ((1u32 << t.qv) - 1) as __mmask16;
+        let yp = y.as_mut_ptr().add(t.q0);
+        for (j, a) in acc.iter().enumerate().take(t.cv) {
+            _mm512_mask_storeu_ps(yp.add((t.co0 + j) * hw), store, *a);
+        }
+    }
+}
+
+/// Fused ReLU + 2×2 max pool of a stage output `y` (`c_out × h*w`): the
+/// same `v.max(0.0)` and ascending `>` scan as a ReLU pass followed by
+/// [`maxpool2`], written to `dst[origin + c*plane + oy*row + ox]` — the
+/// next stage's padded interior, or the sample's output row.
+fn relu_pool(
+    stage: &StackStage,
+    y: &[f32],
+    dst: &mut [f32],
+    origin: usize,
+    plane: usize,
+    row: usize,
+) {
+    let (h, w) = (stage.h, stage.w);
+    let (ho, wo) = (h / 2, w / 2);
+    // `v > best` from `best = -inf` always takes the first (non-NaN,
+    // post-ReLU) value, so the scan is this chain of selects.
+    let pick = |best: f32, v: f32| if v > best { v } else { best };
+    for c in 0..stage.c_out {
+        let yc = &y[c * h * w..(c + 1) * h * w];
+        for oy in 0..ho {
+            let r0 = &yc[2 * oy * w..2 * oy * w + 2 * wo];
+            let r1 = &yc[(2 * oy + 1) * w..(2 * oy + 1) * w + 2 * wo];
+            let d = origin + c * plane + oy * row;
+            for ((dv, a), b) in dst[d..d + wo]
+                .iter_mut()
+                .zip(r0.chunks_exact(2))
+                .zip(r1.chunks_exact(2))
+            {
+                let best = pick(a[0].max(0.0), a[1].max(0.0));
+                *dv = pick(pick(best, b[0].max(0.0)), b[1].max(0.0));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //! The flag is resolved once per kernel invocation *on the calling thread*
 //! and passed down into worker closures, so a [`with_fast_math`] scope
 //! applies to the parallel portion of a kernel even though workers run on
-//! pool threads. On CPUs without FMA the fast tier silently falls back to
+//! pool threads. The [`crate::par`] primitives also install the dispatching
+//! thread's tier inside every worker, so the scope reaches kernels that a
+//! worker closure calls itself (a per-image conv inside a row partition). On CPUs without FMA the fast tier silently falls back to
 //! the deterministic kernels (there is nothing faster to dispatch to).
 
 use std::cell::Cell;

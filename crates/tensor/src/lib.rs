@@ -65,7 +65,7 @@ pub mod plan;
 pub mod sample;
 pub mod sparse;
 
-pub use conv::{ConvMeta, PoolMeta};
+pub use conv::{ConvMeta, ConvPoolStack, PoolMeta};
 pub use embed::{EmbeddingMeta, EmbeddingStore};
 pub use graph::{CsrPair, Graph, NodeId};
 pub use init::{seeded_rng, Rng64};

@@ -38,7 +38,9 @@
 //!
 //! Worker closures always run with the "in worker" flag set, which forces
 //! any kernel they invoke to take the serial path — parallelism never nests,
-//! so the pool is never oversubscribed by recursive fan-out.
+//! so the pool is never oversubscribed by recursive fan-out. They also run
+//! under the dispatching thread's fast-math tier ([`crate::fastmath`]), so a
+//! `with_fast_math` scope covers every kernel a worker calls.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -119,9 +121,13 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
 
-fn enter_worker<R>(f: impl FnOnce() -> R) -> R {
+/// Run a worker closure: nested kernels stay serial, and the dispatching
+/// thread's fast-math tier `fm` (captured before the dispatch) holds inside
+/// it, so a [`crate::fastmath::with_fast_math`] scope reaches every kernel a
+/// worker calls, not only the dispatching kernel.
+fn enter_worker<R>(fm: bool, f: impl FnOnce() -> R) -> R {
     let prev = IN_WORKER.with(|w| w.replace(true));
-    let r = f();
+    let r = crate::fastmath::with_fast_math(fm, f);
     IN_WORKER.with(|w| w.set(prev));
     r
 }
@@ -189,6 +195,7 @@ where
     }
     let base = n_items / chunks;
     let extra = n_items % chunks;
+    let fm = crate::fastmath::enabled();
     if single_core_host() {
         // Same chunk boundaries, executed inline in ascending order.
         let mut rest = out;
@@ -199,7 +206,7 @@ where
             let end_off = bounds(end_item);
             let (chunk, tail) = rest.split_at_mut(end_off - off);
             rest = tail;
-            enter_worker(|| f(item..end_item, chunk));
+            enter_worker(fm, || f(item..end_item, chunk));
             item = end_item;
             off = end_off;
         }
@@ -219,9 +226,9 @@ where
             if c + 1 == chunks {
                 // The spawning thread takes the last chunk instead of
                 // blocking idle while workers run.
-                enter_worker(|| fr(range, chunk));
+                enter_worker(fm, || fr(range, chunk));
             } else {
-                s.spawn(move || enter_worker(|| fr(range, chunk)));
+                s.spawn(move || enter_worker(fm, || fr(range, chunk)));
             }
             item = end_item;
             off = end_off;
@@ -258,6 +265,7 @@ pub fn for_each_disjoint2<T, U, B, F>(
     }
     let base = n_items / chunks;
     let extra = n_items % chunks;
+    let fm = crate::fastmath::enabled();
     if single_core_host() {
         let (mut rest_a, mut rest_b) = (out_a, out_b);
         let mut item = 0usize;
@@ -269,7 +277,7 @@ pub fn for_each_disjoint2<T, U, B, F>(
             let (chunk_b, tail_b) = rest_b.split_at_mut(end_off - off);
             rest_a = tail_a;
             rest_b = tail_b;
-            enter_worker(|| f(item..end_item, chunk_a, chunk_b));
+            enter_worker(fm, || f(item..end_item, chunk_a, chunk_b));
             item = end_item;
             off = end_off;
         }
@@ -289,9 +297,9 @@ pub fn for_each_disjoint2<T, U, B, F>(
             rest_b = tail_b;
             let range = item..end_item;
             if c + 1 == chunks {
-                enter_worker(|| fr(range, chunk_a, chunk_b));
+                enter_worker(fm, || fr(range, chunk_a, chunk_b));
             } else {
-                s.spawn(move || enter_worker(|| fr(range, chunk_a, chunk_b)));
+                s.spawn(move || enter_worker(fm, || fr(range, chunk_a, chunk_b)));
             }
             item = end_item;
             off = end_off;
@@ -325,12 +333,13 @@ where
     }
     let base = n_items / chunks;
     let extra = n_items % chunks;
+    let fm = crate::fastmath::enabled();
     if single_core_host() {
         let mut parts = Vec::with_capacity(chunks);
         let mut item = 0usize;
         for c in 0..chunks {
             let end_item = item + base + usize::from(c < extra);
-            parts.push(enter_worker(|| f(item..end_item)));
+            parts.push(enter_worker(fm, || f(item..end_item)));
             item = end_item;
         }
         return parts;
@@ -346,9 +355,9 @@ where
             rest = tail;
             let range = item..end_item;
             if c + 1 == chunks {
-                enter_worker(|| *slot = Some(fr(range)));
+                enter_worker(fm, || *slot = Some(fr(range)));
             } else {
-                s.spawn(move || enter_worker(|| *slot = Some(fr(range))));
+                s.spawn(move || enter_worker(fm, || *slot = Some(fr(range))));
             }
             item = end_item;
         }
@@ -373,14 +382,15 @@ where
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
+    let fm = crate::fastmath::enabled();
     if single_core_host() {
-        return (0..n).map(|i| enter_worker(|| f(i))).collect();
+        return (0..n).map(|i| enter_worker(fm, || f(i))).collect();
     }
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     rayon::scope(|s| {
         let fr = &f;
         for (i, slot) in slots.iter_mut().enumerate() {
-            s.spawn(move || enter_worker(|| *slot = Some(fr(i))));
+            s.spawn(move || enter_worker(fm, || *slot = Some(fr(i))));
         }
     });
     slots
@@ -521,6 +531,30 @@ mod tests {
         assert_eq!(parse_threads("four"), None);
         assert_eq!(parse_threads("2.5"), None);
         assert_eq!(parse_threads(""), None);
+    }
+
+    #[test]
+    fn workers_inherit_the_dispatching_fast_math_tier() {
+        // Each primitive must carry the caller's scope into its workers,
+        // whatever `UVD_FAST_MATH` says for the process.
+        for on in [false, true] {
+            crate::fastmath::with_fast_math(on, || {
+                with_threads(3, || {
+                    let tier = || assert_eq!(crate::fastmath::enabled(), on);
+                    for_each_row_block(&mut [0u8; 9], 1, MIN_PAR_WORK, |_, _| tier());
+                    for_each_disjoint2(
+                        &mut [0u8; 9],
+                        &mut [0u8; 9],
+                        9,
+                        MIN_PAR_WORK,
+                        |i| i,
+                        |_, _, _| tier(),
+                    );
+                    map_chunks(9, MIN_PAR_WORK, |_| tier());
+                    run_tasks(5, |_| tier());
+                });
+            });
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::RngCore;
 use uvd_tensor::fastmath::with_fast_math;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
-use uvd_tensor::{legacy, par, plan, ConvMeta, Csr, Matrix};
+use uvd_tensor::{legacy, par, plan, ConvMeta, ConvPoolStack, Csr, Matrix};
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-3.0f32..3.0, rows * cols)
@@ -170,6 +170,49 @@ fn fast_math_conv_within_tolerance() {
     let det = with_fast_math(false, || uvd_tensor::conv::conv2d_batch(&x, &kern, &meta));
     let fast = with_fast_math(true, || uvd_tensor::conv::conv2d_batch(&x, &kern, &meta));
     assert_rounding_close(fast.as_slice(), det.as_slice(), "conv2d_batch");
+}
+
+/// The fast-math twin of the direct conv stack (FMA tile kernels) stays
+/// within rounding tolerance of the deterministic stack, and — since it
+/// keeps every chain's order — is bit-identical across thread counts. One
+/// VGG-shaped stack (3×32×32 → 8 → 16 → 16) and one with partial tiles and
+/// channel blocks.
+#[test]
+fn fast_math_conv_stack_within_tolerance() {
+    let mut rng = seeded_rng(29);
+    for (c_in, side, c_outs) in [(3, 32, &[8, 16, 16][..]), (5, 10, &[7, 17][..])] {
+        let (mut c, mut s) = (c_in, side);
+        let stages: Vec<(ConvMeta, Matrix)> = c_outs
+            .iter()
+            .map(|&co| {
+                let meta = ConvMeta {
+                    c_in: c,
+                    h_in: s,
+                    w_in: s,
+                    c_out: co,
+                    k: 3,
+                    stride: 1,
+                    pad: 1,
+                };
+                let (kr, kc) = meta.kernel_shape();
+                (c, s) = (co, s / 2);
+                (meta, normal_matrix(kr, kc, 0.0, 0.4, &mut rng))
+            })
+            .collect();
+        let stack = ConvPoolStack::new(&stages);
+        let x = normal_matrix(6, stack.in_len(), 0.0, 1.0, &mut rng);
+        let det = with_fast_math(false, || stack.forward(x.as_slice()));
+        let fast = with_fast_math(true, || par::serial_scope(|| stack.forward(x.as_slice())));
+        assert_rounding_close(fast.as_slice(), det.as_slice(), "conv stack");
+        let fast_par = with_fast_math(true, || {
+            par::with_threads(3, || stack.forward(x.as_slice()))
+        });
+        assert_eq!(
+            bits(&fast_par),
+            bits(&fast),
+            "fast-math conv stack across threads"
+        );
+    }
 }
 
 /// The fast-math tier keeps every per-element chain in ascending order, so

@@ -34,7 +34,7 @@ use crate::vgg::{standardize_blocks, VggSim};
 use std::sync::Arc;
 use uvd_citysim::{CityStream, CityTile, SurveyLabels};
 use uvd_tensor::graph::CsrPair;
-use uvd_tensor::{par, Csr, EdgeIndex, Matrix};
+use uvd_tensor::{fastmath, par, Csr, EdgeIndex, Matrix};
 
 /// One region-block shard: a contiguous row range of the URG with its
 /// feature rows and its CSR row block of the normalized adjacency.
@@ -231,18 +231,22 @@ impl ShardedUrg {
         let mut _s = uvd_obs::span("urg.shard.build");
         let mut builder = ShardedUrgBuilder::from_skeleton(&stream, opts);
         let threads = par::effective_threads();
+        let fm = fastmath::enabled();
         if threads > 1 && stream.n_tiles() > 1 {
             std::thread::scope(|scope| {
                 let (tx, rx) = std::sync::mpsc::sync_channel::<CityTile>(0);
                 let builder = &mut builder;
                 let folder = scope.spawn(move || {
-                    // Thread-pool overrides are thread-local: re-install the
-                    // caller's effective width so the fold parallelizes (and
-                    // chunks) exactly as it would on the caller thread.
+                    // Thread-pool and fast-math overrides are thread-local:
+                    // re-install the caller's effective width and tier so the
+                    // fold parallelizes (and chunks, and rounds) exactly as
+                    // it would on the caller thread.
                     par::with_threads(threads, || {
-                        while let Ok(tile) = rx.recv() {
-                            builder.add_tile(&tile);
-                        }
+                        fastmath::with_fast_math(fm, || {
+                            while let Ok(tile) = rx.recv() {
+                                builder.add_tile(&tile);
+                            }
+                        })
                     });
                 });
                 while let Some(tile) = stream.next_tile() {

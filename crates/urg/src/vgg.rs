@@ -6,14 +6,9 @@
 //! folds and runs.
 
 use uvd_citysim::{IMG_CHANNELS, IMG_LEN, IMG_SIZE};
-use uvd_tensor::conv::{im2col, maxpool2, ConvMeta, PoolMeta};
+use uvd_tensor::conv::{ConvMeta, ConvPoolStack};
 use uvd_tensor::init::{he_normal, seeded_rng};
 use uvd_tensor::{par, Matrix};
-
-/// Estimated scalar ops of one [`VggSim::features_one`] call (~1e6 FLOPs of
-/// conv + pool work per 3×32×32 image) — the per-row work estimate the
-/// parallel dispatch threshold compares against [`par::MIN_PAR_WORK`].
-pub(crate) const FEATURES_ONE_WORK: usize = 1_000_000;
 
 /// Output dimensionality of the extractor.
 pub const VGG_SIM_DIM: usize = 256;
@@ -24,7 +19,7 @@ pub const PRETRAINED_SEED: u64 = 0xBAD5_EED5;
 
 /// Frozen convolutional feature extractor.
 pub struct VggSim {
-    stages: Vec<(ConvMeta, Matrix, PoolMeta)>,
+    stack: ConvPoolStack,
 }
 
 impl Default for VggSim {
@@ -42,7 +37,7 @@ impl VggSim {
             (8, IMG_SIZE / 2, 16),
             (16, IMG_SIZE / 4, 16),
         ];
-        let stages = specs
+        let stages: Vec<(ConvMeta, Matrix)> = specs
             .iter()
             .map(|&(c_in, side, c_out)| {
                 let meta = ConvMeta {
@@ -55,56 +50,21 @@ impl VggSim {
                     pad: 1,
                 };
                 let (kr, kc) = meta.kernel_shape();
-                let kernel = he_normal(kr, kc, &mut rng);
-                let pool = PoolMeta {
-                    channels: c_out,
-                    h_in: side,
-                    w_in: side,
-                };
-                (meta, kernel, pool)
+                (meta, he_normal(kr, kc, &mut rng))
             })
             .collect();
-        VggSim { stages }
-    }
-
-    /// Extract features for one image (length [`IMG_LEN`]).
-    pub fn features_one(&self, image: &[f32]) -> Vec<f32> {
-        assert_eq!(image.len(), IMG_LEN);
-        let mut x = image.to_vec();
-        for (meta, kernel, pool) in &self.stages {
-            let cols = im2col(&x, meta);
-            let mut y = kernel.matmul(&cols); // c_out × (h*w)
-            for v in y.as_mut_slice() {
-                *v = v.max(0.0); // ReLU
-            }
-            let (pooled, _) = maxpool2(y.as_slice(), pool);
-            x = pooled;
-        }
-        debug_assert_eq!(x.len(), VGG_SIM_DIM);
-        x
+        let stack = ConvPoolStack::new(&stages);
+        debug_assert_eq!((stack.in_len(), stack.out_len()), (IMG_LEN, VGG_SIM_DIM));
+        VggSim { stack }
     }
 
     /// Extract features for every region image in a flat buffer
-    /// (`n * IMG_LEN` values) into an `n × 256` matrix. Output rows are
-    /// partitioned across threads; each row is an independent
-    /// [`VggSim::features_one`] call against the frozen weights, so the
-    /// matrix is bitwise identical at any thread count.
+    /// (`n * IMG_LEN` values) into an `n × 256` matrix: one pass of the
+    /// frozen conv→ReLU→max-pool stack. Images are partitioned across
+    /// threads and each row is computed independently against the frozen
+    /// weights, so the matrix is bitwise identical at any thread count.
     pub fn features(&self, images: &[f32]) -> Matrix {
-        assert_eq!(images.len() % IMG_LEN, 0);
-        let n = images.len() / IMG_LEN;
-        let mut out = Matrix::zeros(n, VGG_SIM_DIM);
-        par::for_each_row_block(
-            out.as_mut_slice(),
-            VGG_SIM_DIM,
-            n * FEATURES_ONE_WORK,
-            |rows, chunk| {
-                for (ri, i) in rows.enumerate() {
-                    let f = self.features_one(&images[i * IMG_LEN..(i + 1) * IMG_LEN]);
-                    chunk[ri * VGG_SIM_DIM..(ri + 1) * VGG_SIM_DIM].copy_from_slice(&f);
-                }
-            },
-        );
-        out
+        self.stack.forward(images)
     }
 }
 
@@ -243,17 +203,22 @@ mod tests {
         out
     }
 
+    /// Features of one image, as a vector.
+    fn features_of(vgg: &VggSim, img: &[f32]) -> Vec<f32> {
+        vgg.features(img).as_slice().to_vec()
+    }
+
     #[test]
     fn output_dim_is_256() {
         let vgg = VggSim::new();
-        let f = vgg.features_one(&image(RegionProfile::Residential, 1));
-        assert_eq!(f.len(), VGG_SIM_DIM);
+        let f = vgg.features(&image(RegionProfile::Residential, 1));
+        assert_eq!(f.shape(), (1, VGG_SIM_DIM));
     }
 
     #[test]
     fn extractor_is_frozen_and_deterministic() {
-        let a = VggSim::new().features_one(&image(RegionProfile::UvInner, 2));
-        let b = VggSim::new().features_one(&image(RegionProfile::UvInner, 2));
+        let a = VggSim::new().features(&image(RegionProfile::UvInner, 2));
+        let b = VggSim::new().features(&image(RegionProfile::UvInner, 2));
         assert_eq!(a, b);
     }
 
@@ -273,9 +238,9 @@ mod tests {
         let mut across = 0.0;
         let k = 6;
         for s in 0..k {
-            let uv1 = vgg.features_one(&image(RegionProfile::UvInner, s));
-            let uv2 = vgg.features_one(&image(RegionProfile::UvInner, s + 100));
-            let dt = vgg.features_one(&image(RegionProfile::Downtown, s));
+            let uv1 = features_of(&vgg, &image(RegionProfile::UvInner, s));
+            let uv2 = features_of(&vgg, &image(RegionProfile::UvInner, s + 100));
+            let dt = features_of(&vgg, &image(RegionProfile::Downtown, s));
             within += dist(&uv1, &uv2);
             across += dist(&uv1, &dt);
         }
@@ -290,8 +255,8 @@ mod tests {
         let mut flat = img1.clone();
         flat.extend_from_slice(&img2);
         let batch = vgg.features(&flat);
-        assert_eq!(batch.row(0), &vgg.features_one(&img1)[..]);
-        assert_eq!(batch.row(1), &vgg.features_one(&img2)[..]);
+        assert_eq!(batch.row(0), &features_of(&vgg, &img1)[..]);
+        assert_eq!(batch.row(1), &features_of(&vgg, &img2)[..]);
     }
 
     #[test]

@@ -27,12 +27,27 @@ cargo test -p uvd-eval --release --test fault_injection -q
 # tolerance of the deterministic oracle (and bit-stable across threads)
 # when the env var — not just the test-local override — selects it.
 UVD_FAST_MATH=1 cargo test -p uvd-tensor --release --test fastmath_tiers -q
+# The deterministic pins must hold under a `with_fast_math(false, …)` scope
+# even when the env var selects the FMA tier: the scope has to reach pool
+# workers and the prefetch producer thread, not only the calling thread.
+UVD_FAST_MATH=1 cargo test -p cmsf --release --test fit_golden -q
+UVD_FAST_MATH=1 cargo test -p uvd-bench --release --test img_golden -q
 # Build-path determinism gate in release mode: the parallel URG build
 # (dense, and streamed through the pipelined render/fold path) must be
 # bitwise identical to the serial build at every swept thread count.
 # Release matters here: debug builds never hit the vectorized kernels the
 # parallel feature extraction dispatches to.
 cargo test -p uvd-urg --release --test par_build -q
+# ISA-tier gate: the direct conv stack against the packed-GEMM conv path,
+# the URG build, and the VGG-sim image-feature golden (`img_golden`,
+# recorded before the stack replaced the im2col + GEMM loop) must
+# reproduce the same bits on the AVX2 and scalar tiers as on the detected
+# one.
+for isa in scalar avx2; do
+    UVD_GEMM_ISA=$isa cargo test -p uvd-tensor --release --test conv_stack -q
+    UVD_GEMM_ISA=$isa cargo test -p uvd-urg --release --test par_build -q
+    UVD_GEMM_ISA=$isa cargo test -p uvd-bench --release --test img_golden -q
+done
 # Bench harness must keep compiling even when nobody runs it.
 cargo bench --workspace --no-run -q
 # Release perfsnap smoke passes, one per determinism tier: exercise the
