@@ -1,6 +1,7 @@
 //! Release gate for the resident scoring service: 100 concurrent score
-//! requests plus one malformed line and one out-of-bounds region id,
-//! against an in-process `uvd-serve` server with a JSONL trace attached.
+//! requests, 200 sequential ones on a single connection, plus one
+//! malformed line and one out-of-bounds region id, against an in-process
+//! `uvd-serve` server with a JSONL trace attached.
 //!
 //! Passes iff:
 //! * every reply (including the two poisoned ones) is valid JSON — the
@@ -8,6 +9,11 @@
 //! * the 100 well-formed requests all come back `ok:true` with the right
 //!   score count, the malformed line and the out-of-bounds id come back
 //!   `ok:false`, and the OOB error carries the typed sampler message;
+//! * the server-side `request` latency p50 from `stats` is below 1 ms: a
+//!   tick never waits for more work, so a lone request is answered as soon
+//!   as it is scored;
+//! * the sequential requests' numeric `id`s reach their `serve.request`
+//!   spans;
 //! * the trace parses line-by-line and carries the `serve.request` /
 //!   `serve.batch` span taxonomy (batching actually happened, requests
 //!   were actually traced).
@@ -26,6 +32,9 @@ use uvd_urg::{Detector, Urg, UrgOptions};
 
 const CLIENTS: usize = 10;
 const REQS_PER_CLIENT: usize = 10; // 100 well-formed requests total
+const SEQUENTIAL: usize = 200;
+/// Bound on the server-side p50 of enqueue → reply, in microseconds.
+const REQUEST_P50_LIMIT_US: f64 = 1000.0;
 
 fn send_line(addr: std::net::SocketAddr, line: &str) -> String {
     let stream = TcpStream::connect(addr).expect("connect");
@@ -126,6 +135,36 @@ fn main() {
     }
     assert_eq!(ok_count.load(Ordering::Relaxed), CLIENTS * REQS_PER_CLIENT);
 
+    // Sequential round trips on one connection: each request is alone in
+    // the queue when its tick pops it.
+    {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        for r in 0..SEQUENTIAL {
+            let line = format!(
+                "{{\"op\":\"score\",\"ids\":[{}],\"id\":{r}}}\n",
+                r % n_regions
+            );
+            writer.write_all(line.as_bytes()).unwrap();
+            writer.flush().unwrap();
+            reply.clear();
+            reader.read_line(&mut reply).expect("read reply");
+            let v = serde_json::from_str_value(reply.trim()).expect("score reply is valid JSON");
+            assert_eq!(
+                v.get("ok"),
+                Some(&serde_json::Value::Bool(true)),
+                "sequential reply not ok: {reply}"
+            );
+            assert_eq!(v.get("id").and_then(|x| x.as_f64()), Some(r as f64));
+        }
+    }
+
     // One malformed line: must be answered (valid JSON, ok:false), not
     // crash the connection handler.
     let reply = send_line(addr, "{\"op\":\"score\",\"ids\":[");
@@ -147,8 +186,22 @@ fn main() {
     let v = serde_json::from_str_value(&reply).expect("stats reply is valid JSON");
     let served = v.get("requests").and_then(|x| x.as_f64()).unwrap_or(0.0) as usize;
     assert!(
-        served >= CLIENTS * REQS_PER_CLIENT + 2,
+        served >= CLIENTS * REQS_PER_CLIENT + SEQUENTIAL + 2,
         "stats lost requests: {reply}"
+    );
+    let stat = |k: &str| {
+        v.get(k)
+            .and_then(|x| x.as_f64())
+            .unwrap_or_else(|| panic!("stats has no {k}: {reply}"))
+    };
+    let request_p50 = stat("request_p50_us");
+    assert!(
+        stat("request_count") >= (CLIENTS * REQS_PER_CLIENT + SEQUENTIAL) as f64,
+        "request histogram lost samples: {reply}"
+    );
+    assert!(
+        request_p50 < REQUEST_P50_LIMIT_US,
+        "server-side request p50 {request_p50} µs is not below {REQUEST_P50_LIMIT_US} µs"
     );
 
     server.shutdown();
@@ -160,12 +213,18 @@ fn main() {
     let text = std::fs::read_to_string(&trace_path).expect("read trace");
     let mut n_request = 0usize;
     let mut n_batch = 0usize;
+    let mut n_with_id = 0usize;
     for (i, line) in text.lines().enumerate() {
         let v = serde_json::from_str_value(line)
             .unwrap_or_else(|e| panic!("trace line {} is not valid JSON ({e}): {line}", i + 1));
         if v.get("type").and_then(|t| t.as_str()) == Some("span") {
             match v.get("name").and_then(|n| n.as_str()) {
-                Some("serve.request") => n_request += 1,
+                Some("serve.request") => {
+                    n_request += 1;
+                    if v.get("fields").and_then(|f| f.get("id")).is_some() {
+                        n_with_id += 1;
+                    }
+                }
                 Some("serve.batch") => n_batch += 1,
                 _ => {}
             }
@@ -173,9 +232,13 @@ fn main() {
     }
     let _ = std::fs::remove_file(&trace_path);
     assert!(
-        n_request >= CLIENTS * REQS_PER_CLIENT + 2,
+        n_request >= CLIENTS * REQS_PER_CLIENT + SEQUENTIAL + 2,
         "expected >= {} serve.request spans, got {n_request}",
-        CLIENTS * REQS_PER_CLIENT + 2
+        CLIENTS * REQS_PER_CLIENT + SEQUENTIAL + 2
+    );
+    assert_eq!(
+        n_with_id, SEQUENTIAL,
+        "only the sequential requests carry a numeric id on their serve.request span"
     );
     assert!(n_batch >= 1, "no serve.batch span in the trace");
     assert!(
@@ -184,7 +247,8 @@ fn main() {
     );
 
     println!(
-        "serve_smoke: ok ({} score requests, 2 poison requests answered, \
+        "serve_smoke: ok ({} concurrent + {SEQUENTIAL} sequential score requests, \
+         2 poison requests answered, request p50 {request_p50} µs, \
          {n_request} serve.request / {n_batch} serve.batch spans)",
         CLIENTS * REQS_PER_CLIENT
     );

@@ -137,7 +137,6 @@ fn main() {
         ServeOptions {
             workers: 2,
             batch: 8,
-            max_delay: Duration::from_millis(1),
             embeddings: Some(reloaded),
             ..ServeOptions::default()
         },

@@ -1,5 +1,6 @@
 //! Lightweight observability layer for the UVD stack: RAII span timers and
-//! monotonic counters behind a single global recorder.
+//! monotonic counters behind a single global recorder, plus always-on
+//! lock-free [`Histogram`]s for service latencies.
 //!
 //! ## Gating
 //!
@@ -412,6 +413,103 @@ pub fn counter_summary() -> Vec<CounterStat> {
 }
 
 // ---------------------------------------------------------------------------
+// Histograms
+// ---------------------------------------------------------------------------
+
+/// Sub-buckets per power of two: every bucket is at most a quarter of its
+/// lower bound wide, so a reported quantile is within 25% of the truth.
+const HIST_SUB: u64 = 4;
+/// Buckets covering all of `u64`: values below 8 get one bucket each,
+/// then `HIST_SUB` per power of two up to 2^64.
+const HIST_BUCKETS: usize = 252;
+
+/// A lock-free log-linear histogram of `u64` samples (e.g. microseconds),
+/// meant to live in a `static` or a shared struct:
+///
+/// ```
+/// static WAIT_US: uvd_obs::Histogram = uvd_obs::Histogram::new("wait");
+/// WAIT_US.record(180);
+/// assert_eq!(WAIT_US.count(), 1);
+/// ```
+///
+/// Unlike [`Counter`], a histogram is always on: `record` is one relaxed
+/// `fetch_add` whatever the recorder mode, so a service can report its
+/// latency percentiles with tracing off.
+pub struct Histogram {
+    name: &'static str,
+    buckets: [AtomicU64; HIST_BUCKETS],
+}
+
+impl Histogram {
+    pub const fn new(name: &'static str) -> Self {
+        Histogram {
+            name,
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+        }
+    }
+
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    #[inline]
+    pub fn record(&self, value: u64) {
+        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Samples recorded so far.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// The `q`-quantile (`0 ≤ q ≤ 1`) as the midpoint of the bucket that
+    /// holds the sample of rank ⌈q·count⌉; 0 when nothing was recorded.
+    /// Concurrent `record`s may or may not be seen.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let counts: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
+        let mut seen = 0;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                let (lo, hi) = bucket_bounds(i);
+                return lo + (hi - lo).div_ceil(2);
+            }
+        }
+        unreachable!("rank ≤ total")
+    }
+}
+
+/// Index of the bucket holding `value`.
+fn bucket_of(value: u64) -> usize {
+    if value < 2 * HIST_SUB {
+        return value as usize;
+    }
+    let exp = 63 - value.leading_zeros() as u64; // ≥ 3
+    let sub = (value >> (exp - 2)) & (HIST_SUB - 1);
+    (HIST_SUB * (exp - 1) + sub) as usize
+}
+
+/// Inclusive `(lowest, highest)` value of bucket `i`.
+fn bucket_bounds(i: usize) -> (u64, u64) {
+    let i = i as u64;
+    if i < 2 * HIST_SUB {
+        return (i, i);
+    }
+    let exp = i / HIST_SUB + 1;
+    let lo = (HIST_SUB + i % HIST_SUB) << (exp - 2);
+    (lo, lo + ((1u64 << (exp - 2)) - 1))
+}
+
+// ---------------------------------------------------------------------------
 // One-shot warnings
 // ---------------------------------------------------------------------------
 
@@ -602,6 +700,59 @@ mod tests {
         assert_eq!(s.n_fields as usize, MAX_FIELDS);
         drop(s);
         disable();
+    }
+
+    #[test]
+    fn histogram_buckets_tile_u64_at_quarter_resolution() {
+        assert_eq!(bucket_bounds(0), (0, 0));
+        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(bucket_bounds(HIST_BUCKETS - 1).1, u64::MAX);
+        for i in 0..HIST_BUCKETS {
+            let (lo, hi) = bucket_bounds(i);
+            assert!(lo <= hi, "bucket {i}");
+            assert_eq!(bucket_of(lo), i, "lowest value of bucket {i}");
+            assert_eq!(bucket_of(hi), i, "highest value of bucket {i}");
+            if i + 1 < HIST_BUCKETS {
+                assert_eq!(bucket_bounds(i + 1).0, hi + 1, "gap after bucket {i}");
+            }
+            assert!(
+                hi - lo <= lo / 4,
+                "bucket {i} is wider than a quarter of {lo}"
+            );
+        }
+    }
+
+    #[test]
+    fn histogram_quantiles_land_in_the_true_bucket() {
+        let h = Histogram::new("test.uniform");
+        assert_eq!(h.quantile(0.5), 0);
+        for v in 1..=10_000 {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 10_000);
+        for (q, truth) in [(0.5, 5_000), (0.9, 9_000), (0.99, 9_900), (1.0, 10_000)] {
+            let got = h.quantile(q);
+            assert_eq!(bucket_of(got), bucket_of(truth), "q {q}: {got} vs {truth}");
+        }
+        assert_eq!(h.quantile(0.0), 1);
+    }
+
+    #[test]
+    fn histogram_concurrent_records_all_count() {
+        static H: Histogram = Histogram::new("test.concurrent");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for v in 0..10_000 {
+                        H.record(v * (t + 1));
+                    }
+                });
+            }
+        });
+        assert_eq!(H.count(), 40_000);
     }
 
     #[test]

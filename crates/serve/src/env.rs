@@ -2,17 +2,14 @@
 //! parse failures fall back to the default and warn once instead of
 //! guessing or panicking.
 //!
-//! | variable                 | meaning                                   | default |
-//! |--------------------------|-------------------------------------------|---------|
-//! | `UVD_SERVE_BATCH`        | max rows per micro-batch replay           | 64      |
-//! | `UVD_SERVE_MAX_DELAY_MS` | max wait to fill a micro-batch, in ms     | 2       |
+//! | variable          | meaning                         | default |
+//! |-------------------|---------------------------------|---------|
+//! | `UVD_SERVE_BATCH` | max rows per micro-batch replay | 64      |
 
 use std::sync::OnceLock;
 
 /// Default micro-batch capacity (rows per replay).
 pub const DEFAULT_BATCH: usize = 64;
-/// Default micro-batch fill deadline in milliseconds.
-pub const DEFAULT_MAX_DELAY_MS: u64 = 2;
 
 /// Parse a `UVD_SERVE_BATCH` value: a positive integer.
 pub fn parse_serve_batch(raw: &str) -> Option<usize> {
@@ -22,31 +19,12 @@ pub fn parse_serve_batch(raw: &str) -> Option<usize> {
     }
 }
 
-/// Parse a `UVD_SERVE_MAX_DELAY_MS` value: a non-negative integer (zero
-/// means "never wait — replay whatever is queued immediately").
-pub fn parse_max_delay_ms(raw: &str) -> Option<u64> {
-    raw.trim().parse::<u64>().ok()
-}
-
 /// `UVD_SERVE_BATCH`, read once per process.
 pub fn env_serve_batch() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
     *CACHE.get_or_init(|| {
         uvd_obs::env_knob("UVD_SERVE_BATCH", "a positive integer", parse_serve_batch)
             .unwrap_or(DEFAULT_BATCH)
-    })
-}
-
-/// `UVD_SERVE_MAX_DELAY_MS`, read once per process.
-pub fn env_max_delay_ms() -> u64 {
-    static CACHE: OnceLock<u64> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        uvd_obs::env_knob(
-            "UVD_SERVE_MAX_DELAY_MS",
-            "a non-negative integer",
-            parse_max_delay_ms,
-        )
-        .unwrap_or(DEFAULT_MAX_DELAY_MS)
     })
 }
 
@@ -61,12 +39,5 @@ mod tests {
         assert_eq!(parse_serve_batch("0"), None);
         assert_eq!(parse_serve_batch("-3"), None);
         assert_eq!(parse_serve_batch("lots"), None);
-    }
-
-    #[test]
-    fn delay_allows_zero() {
-        assert_eq!(parse_max_delay_ms("0"), Some(0));
-        assert_eq!(parse_max_delay_ms("25"), Some(25));
-        assert_eq!(parse_max_delay_ms("fast"), None);
     }
 }

@@ -213,10 +213,10 @@ pub fn health_reply(n_regions: usize, version: u64, workers: usize, tag: Option<
 }
 
 /// Stats reply from a counter snapshot (name, value) list.
-pub fn stats_reply(fields: &[(&str, u64)], tag: Option<&Value>) -> String {
+pub fn stats_reply<K: AsRef<str>>(fields: &[(K, u64)], tag: Option<&Value>) -> String {
     let mut obj = vec![("ok".to_string(), Value::Bool(true))];
     for (k, v) in fields {
-        obj.push((k.to_string(), Value::Num(*v as f64)));
+        obj.push((k.as_ref().to_string(), Value::Num(*v as f64)));
     }
     finish(obj, tag)
 }

@@ -86,7 +86,6 @@ fn served_scores_are_bitwise_predict_including_after_update_poi() {
     let opts = ServeOptions {
         workers: 2,
         batch: 16,
-        max_delay: Duration::from_millis(1),
         ..ServeOptions::default()
     };
     let server = Server::start(urg.clone(), cfg, store, opts).expect("server starts");

@@ -67,7 +67,6 @@ fn tasks_op_serves_bitwise_head_outputs() {
     let opts = ServeOptions {
         workers: 2,
         batch: 8,
-        max_delay: Duration::from_millis(1),
         embeddings: Some(emb_store),
         ..ServeOptions::default()
     };

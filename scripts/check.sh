@@ -17,6 +17,13 @@ cargo test --workspace -q
 for threads in 1 2 7; do
     UVD_THREADS=$threads cargo test -p uvd-tensor -p cmsf --release -q
 done
+# The same matrix for the resident server in release mode: served scores
+# must stay bitwise equal to `Cmsf::predict` whatever the pool size, and
+# the tick's drain and panic-isolation tests must hold without debug
+# assertions.
+for threads in 1 7; do
+    UVD_THREADS=$threads cargo test -p uvd-serve --release -q
+done
 # Zero-allocation replay regression gate: steady-state epochs must not
 # touch the heap (counting global allocator; release, single-threaded).
 cargo test -p uvd-tensor --release --test alloc_replay -q
@@ -66,11 +73,12 @@ cargo run --release -p uvd-bench --bin trace_smoke -q
 # monolithic imagery buffer alone) and that the JSONL trace carries the
 # urg.shard.build and cmsf.sample spans.
 cargo run --release -p uvd-bench --bin scaling -q -- --smoke
-# Resident-service smoke: 100 concurrent score requests plus poisoned
-# inputs (one malformed line, one out-of-bounds region id) against an
-# in-process uvd-serve. Zero panics, every reply valid JSON, the OOB id
-# answered with the typed sampler error, and the serve.request /
-# serve.batch span taxonomy present in the JSONL trace.
+# Resident-service smoke: 100 concurrent score requests, 200 sequential
+# ones on one connection, plus poisoned inputs (one malformed line, one
+# out-of-bounds region id) against an in-process uvd-serve. Zero panics,
+# every reply valid JSON, the OOB id answered with the typed sampler
+# error, the server-side request p50 from `stats` below 1 ms, and the
+# serve.request / serve.batch span taxonomy present in the JSONL trace.
 cargo run --release -p uvd-bench --bin serve_smoke -q
 # Embedding-store smoke: pretrain the tiny city, export the frozen
 # embeddings, train all three downstream heads, persist one UVDT0002
