@@ -34,7 +34,7 @@ use uvd_bench::{repo_root_path, scale_city};
 use uvd_citysim::{City, CityPreset, CityStream};
 use uvd_obs::alloc::CountingAlloc;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
-use uvd_tensor::{fastmath, legacy, par, Adam, Csr, EdgeIndex, Graph};
+use uvd_tensor::{fastmath, par, Adam, Csr, EdgeIndex, Graph};
 use uvd_urg::{ShardedUrg, Urg, UrgOptions};
 
 /// Counting allocator so the snapshot header can report the process's peak
@@ -129,13 +129,16 @@ fn pair(
 
 /// End-to-end CMSF fold: a full master + slave stage, trained once with the
 /// replayed-plan path (`train_master` / `train_slave` record once, then
-/// replay) and once per epoch through `uvd_tensor::legacy` — the engine
-/// exactly as it stood before the Plan/Workspace split, which re-records the
-/// whole tape (fresh value buffers per op, clone-heavy backward) every epoch.
-/// `legacy::rebuild` replays the recorded plan op-for-op through that old
-/// engine, so both paths run the identical computation on identical epoch
-/// schedules. Reports epochs/sec for both and the peak workspace footprint
-/// of the replayed path.
+/// replay) and once with a fresh [`Graph`] per epoch — `record_*_tape`,
+/// then `Cmsf::step`, then `opt.decay`, as `benches/e2e_epoch.rs` times a
+/// single epoch. Reports epochs/sec for both and the peak workspace
+/// footprint of the replayed path.
+///
+/// The rebuild column is a cost measurement only, not a second run of the
+/// same fold: every fresh master tape recomputes GSCM's hard assignment
+/// `B̃` from the current parameters, where replay holds the one taken when
+/// the tape was recorded (DESIGN.md §3), so the two paths' parameters
+/// drift apart.
 fn e2e_cmsf(threads: usize, smoke: bool) -> serde_json::Value {
     let city = City::from_config(CityPreset::FuzhouLike.config(), 5);
     let urg = Urg::build(&city, UrgOptions::default());
@@ -159,39 +162,28 @@ fn e2e_cmsf(threads: usize, smoke: bool) -> serde_json::Value {
     });
     let peak_ws = model.peak_workspace_bytes();
 
-    // Per-epoch rebuild baseline: record the master and slave plans once
-    // (untimed — the pre-refactor code had no separate record step), then
-    // rebuild the full tape through the legacy engine every epoch. Parameter
-    // leaves re-read live values, so each rebuild is a faithful re-record of
-    // the epoch exactly as the old define-by-run tape performed it.
+    // Per-epoch rebuild: record, step and drop a whole tape every epoch.
+    // The slave stage reuses the assignment the replayed path froze.
     let (rows, targets, weights) = model.bce_vectors(&urg, &train);
     let fixed = model.fixed_assignment().expect("after master").clone();
     let (c1, c0) = fixed.partition();
-    let mut gm = Graph::new();
-    let master_loss = model.record_master_tape(&mut gm, &urg, &rows, &targets, &weights);
-    let mut gs = Graph::new();
-    let slave_loss = model
-        .record_slave_tape(&mut gs, &urg, &fixed, &c1, &c0, &rows, &targets, &weights)
-        .expect("slave tape records");
     let rebuild_ms = time_ms(e2e_reps, || {
         par::with_threads(threads, || {
-            let legacy_epoch = |g: &Graph, loss: uvd_tensor::NodeId, opt: &mut Adam| {
-                let mut lg = legacy::rebuild(g.plan(), g.workspace());
-                lg.backward(lg.node(loss.index()));
-                lg.write_grads();
-                if model.cfg.grad_clip > 0.0 {
-                    model.param_set().clip_grad_norm(model.cfg.grad_clip);
-                }
-                opt.step(model.param_set());
-                opt.decay(model.cfg.lr_decay);
-            };
             let mut opt = Adam::new(model.cfg.lr);
             for _ in 0..model.cfg.master_epochs {
-                legacy_epoch(&gm, master_loss, &mut opt);
+                let mut g = Graph::new();
+                let loss = model.record_master_tape(&mut g, &urg, &rows, &targets, &weights);
+                model.step(&mut g, loss, &mut opt);
+                opt.decay(model.cfg.lr_decay);
             }
             let mut opt = Adam::new(model.cfg.lr * 0.3);
             for _ in 0..model.cfg.slave_epochs {
-                legacy_epoch(&gs, slave_loss, &mut opt);
+                let mut g = Graph::new();
+                let loss = model
+                    .record_slave_tape(&mut g, &urg, &fixed, &c1, &c0, &rows, &targets, &weights)
+                    .expect("slave tape records");
+                model.step(&mut g, loss, &mut opt);
+                opt.decay(model.cfg.lr_decay);
             }
         })
     });
@@ -558,10 +550,9 @@ fn main() {
         "build": build,
     });
     let path = repo_root_path("BENCH_tensor.json");
-    // Keys owned by other tools (`scaling`'s curve, `serve_bench`'s latency
-    // row, anything future) ride along across rewrites so each tool can
-    // update the snapshot independently. The old carry copied `scaling`
-    // alone, silently dropping `serve` on every perfsnap rewrite.
+    // Keys owned by other tools (`scaling`'s curve, `tasks_smoke`'s row,
+    // anything future) ride along across rewrites so each tool can update
+    // the snapshot independently.
     if let Some(serde_json::Value::Object(prev)) = std::fs::read_to_string(&path)
         .ok()
         .and_then(|t| serde_json::from_str_value(&t).ok())

@@ -17,6 +17,7 @@
 //! | `table3` | efficiency            |
 //! | `fig7`   | case-study maps       |
 
+use std::path::{Path, PathBuf};
 use uvd_citysim::CityConfig;
 use uvd_eval::{MethodSummary, RunSpec};
 
@@ -45,15 +46,37 @@ pub fn scale_city(side: usize) -> CityConfig {
     }
 }
 
-/// Resolve `name` against the repository root (two levels above this
-/// crate's manifest), so binaries write there regardless of the invocation
-/// directory.
-pub fn repo_root_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crate lives two levels below the repo root")
+/// Resolve `name` against the repository root: the nearest ancestor of the
+/// current directory whose `Cargo.toml` declares `[workspace]`. It is found
+/// at run time, so a binary copied out of one checkout and run in another
+/// writes into the checkout it runs in.
+///
+/// # Panics
+///
+/// If no ancestor of the current directory holds a workspace manifest.
+pub fn repo_root_path(name: &str) -> PathBuf {
+    let cwd = std::env::current_dir().expect("current directory is readable");
+    workspace_root(&cwd)
+        .unwrap_or_else(|| {
+            panic!(
+                "no Cargo.toml with a [workspace] table in {} or any parent; \
+                 run this binary from inside the repository",
+                cwd.display()
+            )
+        })
         .join(name)
+}
+
+/// The nearest of `start` and its ancestors whose `Cargo.toml` has a
+/// `[workspace]` table.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Scale of an experiment run, from CLI flags.
@@ -228,5 +251,30 @@ mod tests {
         };
         let row = format_row(&timed);
         assert!(row.contains("[fit 0.25s | infer 0.011s | eval 0.002s]"));
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_workspace_manifest() {
+        let tmp = std::env::temp_dir().join(format!("uvd-root-walk-{}", std::process::id()));
+        let member = tmp.join("ws/crates/member");
+        std::fs::create_dir_all(member.join("src")).unwrap();
+        std::fs::write(
+            tmp.join("ws/Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n",
+        )
+        .unwrap();
+        // A member manifest that only inherits workspace keys is not a root.
+        std::fs::write(
+            member.join("Cargo.toml"),
+            "[package]\nname = \"member\"\nversion.workspace = true\n",
+        )
+        .unwrap();
+        std::fs::create_dir_all(tmp.join("outside")).unwrap();
+
+        let root = workspace_root(&member.join("src"));
+        let outside = workspace_root(&tmp.join("outside"));
+        std::fs::remove_dir_all(&tmp).unwrap();
+        assert_eq!(root, Some(tmp.join("ws")));
+        assert_eq!(outside, None);
     }
 }

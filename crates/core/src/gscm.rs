@@ -90,7 +90,10 @@ impl FixedAssignment {
 pub struct GscmOut {
     /// Soft assignment node (N×K).
     pub b_soft: NodeId,
-    /// Hard assignment value (constant within the iteration).
+    /// Hard assignment value `B̃ᵀ`. Binarized from the soft assignment's
+    /// value when the tape is recorded and entered as a constant leaf, so a
+    /// replayed master tape keeps the record-time `B̃` for every later epoch
+    /// (DESIGN.md §3).
     pub b_hard_t: Matrix,
     /// Updated cluster representations `h'` (K×d).
     pub h_prime: NodeId,
@@ -163,7 +166,8 @@ impl Gscm {
 
     /// Full forward pass. When `fixed` is provided (slave stage), the
     /// assignment matrices are constants; otherwise they are computed from
-    /// `x_tilde` (master stage).
+    /// `x_tilde` (master stage) — `B` as a recorded op, `B̃` once, at record
+    /// time.
     pub fn forward(
         &self,
         g: &mut Graph,

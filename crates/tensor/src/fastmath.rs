@@ -3,7 +3,7 @@
 //! The default numeric contract of every kernel in this crate is **bitwise
 //! determinism**: one accumulator chain per output element, ascending-`k`,
 //! separate mul + add (DESIGN.md §"Determinism tiers"). That contract is what
-//! makes `legacy` an exact oracle and lets the differential tests assert
+//! makes [`crate::oracle`]'s naive kernels an exact reference and lets the differential tests assert
 //! `==` on floats. It also leaves throughput on the table: fused
 //! multiply-add issues one instruction where the deterministic tier needs
 //! two, and it skips an intermediate rounding.

@@ -12,11 +12,11 @@
 //!
 //! **Bit-identity invariant**: every output element is reduced by a single
 //! accumulator in ascending-`k` order — the same chain as the pre-packing
-//! naive kernels (frozen in [`crate::legacy`]) — and the `KC` blocking
+//! naive kernels (frozen in [`crate::oracle`]) — and the `KC` blocking
 //! read-modify-writes the output between blocks, which extends the chain
 //! rather than splitting it. Tile shape (`MR`/`NR`) and thread partition only
 //! change *which* elements a loop iteration touches, never the order within
-//! one element's chain, so serial ≡ parallel ≡ legacy, bit for bit, on every
+//! one element's chain, so serial ≡ parallel ≡ oracle, bit for bit, on every
 //! ISA tier. The SIMD tiers deliberately enable only plain vector math
 //! (`avx2` / `avx512f`), never `fma`: a fused multiply-add would skip the
 //! intermediate rounding and break the chain equality.

@@ -118,7 +118,7 @@ impl Graph {
     }
 
     /// Handle for the `i`-th recorded node (record order). Useful when
-    /// correlating nodes across engines, e.g. against [`crate::legacy`].
+    /// correlating nodes across two recordings of the same computation.
     pub fn node(&self, i: usize) -> NodeId {
         assert!(i < self.plan.len(), "node index out of range");
         NodeId::from_index(i)

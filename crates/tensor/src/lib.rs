@@ -56,8 +56,8 @@ pub mod fastmath;
 mod gemm;
 pub mod graph;
 pub mod init;
-pub mod legacy;
 pub mod matrix;
+pub mod oracle;
 pub mod par;
 pub mod param;
 pub mod persist;

@@ -6,7 +6,7 @@
 //! runtime. Because the per-element accumulation order (ascending `k`) is
 //! independent of the row partition and of the tile shape, results are
 //! bit-identical at any thread count and on every ISA tier — and bit-equal
-//! to the frozen naive kernels kept in [`crate::legacy`] as the reference.
+//! to the frozen naive kernels kept in [`crate::oracle`] as the reference.
 
 use crate::gemm;
 use crate::par;

@@ -100,11 +100,10 @@ pub enum FusedAct {
     Sigmoid,
 }
 
-/// The elementwise activation of a [`FusedAct`] — shared by the replay
-/// engine and the legacy differential engine so both apply the exact same
-/// expression.
+/// The elementwise activation of a [`FusedAct`], as the fused
+/// `MatMulBiasAct` forward applies it to `x + bias`.
 #[inline]
-pub(crate) fn fused_act_apply(act: FusedAct, x: f32) -> f32 {
+fn fused_act_apply(act: FusedAct, x: f32) -> f32 {
     match act {
         FusedAct::Identity => x,
         FusedAct::LeakyRelu(slope) => {

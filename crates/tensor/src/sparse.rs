@@ -165,8 +165,8 @@ impl Csr {
     /// Per output element the reduction is still one accumulator chain in
     /// ascending CSR (`k`) order seeded from the existing output value —
     /// panel width and ISA tier change only *which* elements an iteration
-    /// touches, so every tier stays bit-identical to the legacy row loop
-    /// (frozen as [`crate::legacy`]'s `naive_spmm`). Under `UVD_FAST_MATH=1`
+    /// touches, so every tier stays bit-identical to the naive row loop
+    /// (frozen as [`crate::oracle::naive_spmm`]). Under `UVD_FAST_MATH=1`
     /// the panel step becomes a fused multiply-add (rounding-level
     /// difference only; see [`crate::fastmath`]).
     pub fn spmm_acc(&self, x: &Matrix, out: &mut [f32]) {
@@ -436,7 +436,7 @@ fn spmm_rows(
 /// row's non-zeros once per `NR`-wide column panel, keeping the panel's
 /// partial sums in a register accumulator array. `FMA=true` fuses the
 /// multiply-add (fast-math tier); `false` keeps separate mul + add
-/// (bit-identical to the legacy row loop). The column tail (`n % NR`) runs
+/// (bit-identical to the naive row loop). The column tail (`n % NR`) runs
 /// the same ascending-`k` chains at the leftover width.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -827,7 +827,7 @@ mod tests {
         let a = Csr::from_coo(rows, cols, coo);
         let x = crate::init::normal_matrix(cols, n, 0.0, 1.0, &mut rng);
         let tiled = a.spmm(&x);
-        let oracle = crate::legacy::naive_spmm(&a, &x);
+        let oracle = crate::oracle::naive_spmm(&a, &x);
         assert_eq!(tiled.as_slice(), oracle.as_slice());
         let fast = crate::fastmath::with_fast_math(true, || a.spmm(&x));
         for (d, f) in oracle.as_slice().iter().zip(fast.as_slice()) {

@@ -1,7 +1,7 @@
 //! Differential tests for the register-tiled spmm and the `UVD_FAST_MATH`
 //! tier (DESIGN.md §"Determinism tiers").
 //!
-//! Deterministic mode is checked *bitwise* against `uvd_tensor::legacy` —
+//! Deterministic mode is checked *bitwise* against `uvd_tensor::oracle` —
 //! the frozen pre-tiling kernels — over proptest-generated shapes chosen to
 //! be tile-irregular: column counts that straddle every panel width (1,
 //! scalar-tile leftovers, AVX-512's 64-wide panels), empty CSR rows, and
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use rand::RngCore;
 use uvd_tensor::fastmath::with_fast_math;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
-use uvd_tensor::{legacy, par, plan, ConvMeta, ConvPoolStack, Csr, Matrix};
+use uvd_tensor::{oracle, par, plan, ConvMeta, ConvPoolStack, Csr, Matrix};
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-3.0f32..3.0, rows * cols)
@@ -62,7 +62,7 @@ proptest! {
     /// the frozen naive row loop, for any sparsity pattern — including empty
     /// rows and duplicate COO entries — and any panel-straddling width.
     #[test]
-    fn tiled_spmm_bitwise_matches_legacy(
+    fn tiled_spmm_bitwise_matches_oracle(
         entries in proptest::collection::vec((0u32..13, 0u32..11, -2.0f32..2.0), 0..80),
         n in awkward_cols(),
         xseed in 0u64..1000,
@@ -70,7 +70,7 @@ proptest! {
         let a = Csr::from_coo(13, 11, entries);
         let mut rng = seeded_rng(xseed);
         let x = normal_matrix(11, n, 0.0, 1.0, &mut rng);
-        let oracle = legacy::naive_spmm(&a, &x);
+        let oracle = oracle::naive_spmm(&a, &x);
         let tiled = with_fast_math(false, || a.spmm(&x));
         prop_assert_eq!(bits(&tiled), bits(&oracle), "overwrite entry");
         // The accumulate entry seeded from a zero-filled buffer runs the

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rand::RngCore;
 use std::sync::Arc;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
-use uvd_tensor::{legacy, par};
+use uvd_tensor::{oracle, par};
 use uvd_tensor::{Csr, EdgeIndex, FusedAct, Graph, Matrix};
 
 /// 48×48×48 matmul: 110_592 estimated ops, above `MIN_PAR_WORK` (65_536).
@@ -95,9 +95,9 @@ proptest! {
         let at = normal_matrix(k, m, 0.0, 1.0, &mut rng);
         let bt = normal_matrix(n, k, 0.0, 1.0, &mut rng);
         let naive = (
-            legacy::naive_matmul(&a, &b),
-            legacy::naive_matmul_tn(&at, &b),
-            legacy::naive_matmul_nt(&a, &bt),
+            oracle::naive_matmul(&a, &b),
+            oracle::naive_matmul_tn(&at, &b),
+            oracle::naive_matmul_nt(&a, &bt),
         );
         let serial = par::serial_scope(|| (a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt)));
         let par3 = par::with_threads(3, || (a.matmul(&b), at.matmul_tn(&b), a.matmul_nt(&bt)));

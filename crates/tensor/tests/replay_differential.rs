@@ -22,9 +22,20 @@
 //! replay, and record-time executions after a `set_value` observe the
 //! `NEVER` stamp and repack immediately. These tests pin that behavior so a
 //! future pack-cache change cannot silently reintroduce stale reuse.
+//!
+//! The last case states the training-side theorem: a toy GAT+GCN tape
+//! replayed across Adam steps is bitwise-equal, forward and backward, to the
+//! same computation freshly recorded each epoch, and its losses and
+//! parameter gradients are pinned to bits recorded from the pre-replay
+//! define-by-run engine before that engine was deleted.
 
+use std::sync::Arc;
+use uvd_tensor::fastmath::with_fast_math;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
-use uvd_tensor::{ConvMeta, FusedAct, Graph, Matrix};
+use uvd_tensor::{
+    par, Adam, ConvMeta, Csr, CsrPair, EdgeIndex, FusedAct, Graph, Matrix, NodeId, ParamRef,
+    ParamSet,
+};
 
 fn assert_bitwise(a: &[f32], b: &[f32], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: length");
@@ -329,4 +340,156 @@ fn head_chain_set_value_replays_match_fresh_graphs() {
         &fresh_head(&bt, &xts[0], &w, &bias),
         "back to xt 0",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Training: a replayed GAT+GCN tape against a fresh recording every epoch.
+// ---------------------------------------------------------------------------
+
+/// Inputs of the toy GAT+GCN tape: a 12-node ring with one chord per node,
+/// constant features, three trainable weights.
+struct Toy {
+    x: Matrix,
+    w1: ParamRef,
+    w_att: ParamRef,
+    w2: ParamRef,
+    edges: Arc<EdgeIndex>,
+    csr: Arc<CsrPair>,
+    rows: Arc<Vec<u32>>,
+    targets: Arc<Vec<f32>>,
+    weights: Arc<Vec<f32>>,
+}
+
+impl Toy {
+    fn new() -> Toy {
+        let (n, d, h) = (12usize, 6usize, 4usize);
+        let mut rng = seeded_rng(3);
+        let x = normal_matrix(n, d, 0.0, 1.0, &mut rng);
+        let w1 = ParamRef::new("w1", normal_matrix(d, h, 0.0, 0.4, &mut rng));
+        let w_att = ParamRef::new("w_att", normal_matrix(h, 1, 0.0, 0.4, &mut rng));
+        let w2 = ParamRef::new("w2", normal_matrix(h, 1, 0.0, 0.4, &mut rng));
+        let pairs: Vec<(u32, u32)> = (0..n as u32)
+            .flat_map(|i| {
+                let nn = n as u32;
+                [(i, (i + 1) % nn), (i, (i + 5) % nn)]
+            })
+            .collect();
+        let edges = Arc::new(EdgeIndex::from_pairs(n, pairs.clone()));
+        let csr = CsrPair::new(Csr::from_coo(
+            n,
+            n,
+            pairs
+                .iter()
+                .map(|&(s, t)| (t, s, 1.0 / 3.0))
+                .collect::<Vec<_>>(),
+        ));
+        Toy {
+            x,
+            w1,
+            w_att,
+            w2,
+            edges,
+            csr,
+            rows: Arc::new((0..n as u32).collect()),
+            targets: Arc::new((0..n).map(|i| (i % 2) as f32).collect()),
+            weights: Arc::new(vec![1.0; n]),
+        }
+    }
+
+    /// Record GAT-style attention plus one GCN hop onto `g`, reading the
+    /// current parameter values. Returns `(feature leaf, loss)`.
+    fn record(&self, g: &mut Graph) -> (NodeId, NodeId) {
+        let xc = g.constant(self.x.clone());
+        let w1n = g.param(&self.w1);
+        let h0 = g.matmul(xc, w1n);
+        let h0 = g.tanh(h0);
+        let wa = g.param(&self.w_att);
+        let score = g.matmul(h0, wa);
+        let s_dst = g.gather_rows(score, Arc::new(self.edges.dst().to_vec()));
+        let s_src = g.gather_rows(score, Arc::new(self.edges.src().to_vec()));
+        let s = g.add(s_dst, s_src);
+        let s = g.leaky_relu(s, 0.2);
+        let alpha = g.edge_softmax(s, self.edges.clone());
+        let h_att = g.edge_aggregate(alpha, h0, self.edges.clone());
+        let h_gcn = g.spmm(self.csr.clone(), h_att);
+        let w2n = g.param(&self.w2);
+        let logits = g.matmul(h_gcn, w2n);
+        let picked = g.gather_rows(logits, self.rows.clone());
+        let loss = g.bce_with_logits(picked, self.targets.clone(), self.weights.clone());
+        (xc, loss)
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Fold the bytes of `words` into a running 64-bit FNV-1a hash.
+fn fnv1a(h: &mut u64, words: &[u32]) {
+    for w in words {
+        for b in w.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+#[test]
+fn replayed_training_tape_matches_fresh_recordings_and_pin() {
+    with_fast_math(false, || {
+        par::serial_scope(|| {
+            let toy = Toy::new();
+            let mut set = ParamSet::new();
+            set.track(toy.w1.clone());
+            set.track(toy.w_att.clone());
+            set.track(toy.w2.clone());
+
+            let mut g = Graph::new();
+            let (xc, loss) = toy.record(&mut g);
+            let mut opt = Adam::new(0.05);
+            let mut pin = 0xcbf2_9ce4_8422_2325u64;
+            for epoch in 0..4 {
+                if epoch > 0 {
+                    g.replay();
+                }
+                let mut fresh = Graph::new();
+                let (_, fresh_loss) = toy.record(&mut fresh);
+                assert_eq!(fresh.len(), g.len());
+                for i in 0..g.len() {
+                    assert_eq!(
+                        bits(g.value(g.node(i))),
+                        bits(fresh.value(fresh.node(i))),
+                        "epoch {epoch}: forward value of node {i} diverged"
+                    );
+                }
+
+                g.backward(loss);
+                fresh.backward(fresh_loss);
+                set.zero_grads();
+                fresh.write_grads();
+                let fresh_grads: Vec<Vec<u32>> = set.iter().map(|p| bits(&p.grad())).collect();
+                set.zero_grads();
+                g.write_grads();
+                let grads: Vec<Vec<u32>> = set.iter().map(|p| bits(&p.grad())).collect();
+                assert_eq!(grads, fresh_grads, "epoch {epoch}: param grads diverged");
+                for i in 0..g.len() {
+                    if let Some(grad) = g.grad(g.node(i)) {
+                        let fresh_grad = fresh.grad(fresh.node(i)).expect("fresh grad present");
+                        assert_eq!(bits(grad), bits(fresh_grad), "epoch {epoch}: grad {i}");
+                    }
+                }
+                assert!(g.grad(xc).is_none(), "constant features must be pruned");
+
+                fnv1a(&mut pin, &bits(g.value(loss)));
+                for grad in &grads {
+                    fnv1a(&mut pin, grad);
+                }
+                opt.step(&set);
+            }
+            // Recorded from the define-by-run engine that preceded
+            // Plan/Workspace replay (fresh buffers per op, re-recorded every
+            // epoch), on the same tape and schedule.
+            assert_eq!(pin, 0xbb68_b41c_7119_f833, "loss/grad FNV 0x{pin:016x}");
+        });
+    });
 }

@@ -12,8 +12,9 @@ cargo test --workspace -q
 # release mode: kernels must stay correct when concurrent callers share the
 # pool and a waiting thread helps run another caller's chunks (thread-local
 # scratch is never held across a dispatch), and the training pins (fit
-# golden, prefetch equivalence, legacy fold) must hold bitwise, at one, two
-# and more threads than cores.
+# golden, including the fold recorded from the define-by-run engine, and
+# prefetch equivalence) must hold bitwise, at one, two and more threads
+# than cores.
 for threads in 1 2 7; do
     UVD_THREADS=$threads cargo test -p uvd-tensor -p cmsf --release -q
 done
@@ -46,12 +47,13 @@ UVD_FAST_MATH=1 cargo test -p uvd-bench --release --test img_golden -q
 # parallel feature extraction dispatches to.
 cargo test -p uvd-urg --release --test par_build -q
 # ISA-tier gate: the direct conv stack against the packed-GEMM conv path,
-# the URG build, and the VGG-sim image-feature golden (`img_golden`,
-# recorded before the stack replaced the im2col + GEMM loop) must
-# reproduce the same bits on the AVX2 and scalar tiers as on the detected
-# one.
+# the URG build, the VGG-sim image-feature golden (`img_golden`, recorded
+# before the stack replaced the im2col + GEMM loop) and the CMSF training
+# pins (`fit_golden`) must reproduce the same bits on the AVX2 and scalar
+# tiers as on the detected one.
 for isa in scalar avx2; do
     UVD_GEMM_ISA=$isa cargo test -p uvd-tensor --release --test conv_stack -q
+    UVD_GEMM_ISA=$isa cargo test -p cmsf --release --test fit_golden -q
     UVD_GEMM_ISA=$isa cargo test -p uvd-urg --release --test par_build -q
     UVD_GEMM_ISA=$isa cargo test -p uvd-bench --release --test img_golden -q
 done
