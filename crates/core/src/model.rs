@@ -934,6 +934,19 @@ mod tests {
         (urg, train_idx)
     }
 
+    /// The paper-config master tape (2 MAGA layers × 4 attention modules ×
+    /// 2 heads) records each GAT head's attention weights as one fused
+    /// node: 212 nodes, where the seven-node score chain recorded 308.
+    #[test]
+    fn paper_config_master_tape_node_count() {
+        let (urg, train) = tiny_setup(5);
+        let model = Cmsf::new(&urg, CmsfConfig::for_city("fuzhou-like"));
+        let (rows, targets, weights) = model.bce_vectors(&urg, &train);
+        let mut g = Graph::new();
+        model.record_master_tape(&mut g, &urg, &rows, &targets, &weights);
+        assert_eq!(g.len(), 212);
+    }
+
     #[test]
     fn master_training_reduces_loss() {
         let (urg, train) = tiny_setup(1);

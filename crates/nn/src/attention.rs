@@ -13,7 +13,9 @@ use uvd_tensor::{EdgeIndex, Graph, NodeId, ParamRef, ParamSet, Rng64};
 /// the transformation `W`; for cross-modal attention (eqs. 5–7) they use
 /// separate `W'` matrices and the aggregated messages come from the *source*
 /// modality. Scores follow the standard GAT decomposition
-/// `a^T [h_i ⊕ h_j] = a_dst^T h_i + a_src^T h_j` with LeakyReLU.
+/// `a^T [h_i ⊕ h_j] = a_dst^T h_i + a_src^T h_j` with LeakyReLU, computed
+/// with the softmax over each destination's edges in one fused
+/// `edge_attention` node.
 #[derive(Clone, Debug)]
 pub struct GraphAttentionHead {
     w_dst: ParamRef,
@@ -89,15 +91,14 @@ impl GraphAttentionHead {
         };
         let a_dst = g.param(&self.a_dst);
         let a_src = g.param(&self.a_src);
-        let s_dst = g.matmul(h_dst, a_dst); // N×1
-        let s_src = g.matmul(h_src, a_src); // N×1
-        let dst_idx = Arc::new(edges.dst().to_vec());
-        let src_idx = Arc::new(edges.src().to_vec());
-        let s_d = g.gather_rows(s_dst, dst_idx);
-        let s_s = g.gather_rows(s_src, src_idx);
-        let scores = g.add(s_d, s_s);
-        let scores = g.leaky_relu(scores, self.negative_slope);
-        let alpha = g.edge_softmax(scores, edges.clone());
+        let alpha = g.edge_attention(
+            h_dst,
+            h_src,
+            a_dst,
+            a_src,
+            self.negative_slope,
+            edges.clone(),
+        );
         let agg = g.edge_aggregate(alpha, h_src, edges.clone());
         self.activation.apply(g, agg)
     }
@@ -330,6 +331,27 @@ mod tests {
         // inputs are the two unit basis vectors.
         let s = v.get(0, 0) + v.get(0, 1);
         assert!((s - 1.0).abs() < 1e-5);
+    }
+
+    /// A head records its parameters, the projection(s), one fused
+    /// attention node, the aggregate and the activation: 7 nodes intra, 9
+    /// cross (a second weight and projection). The seven-node score chain
+    /// it replaced recorded 13 and 15.
+    #[test]
+    fn head_records_one_attention_node() {
+        let mut rng = seeded_rng(7);
+        let edges = small_edges();
+        let intra = GraphAttentionHead::new_intra("h", 5, 3, &mut rng);
+        let cross = GraphAttentionHead::new_cross("c", 5, 4, 3, &mut rng);
+        let mut g = Graph::new();
+        let xp = g.constant(normal_matrix(4, 5, 0.0, 1.0, &mut rng));
+        let xi = g.constant(normal_matrix(4, 4, 0.0, 1.0, &mut rng));
+        let before = g.len();
+        intra.forward(&mut g, xp, xp, &edges);
+        assert_eq!(g.len() - before, 7, "intra head nodes");
+        let before = g.len();
+        cross.forward(&mut g, xp, xi, &edges);
+        assert_eq!(g.len() - before, 9, "cross head nodes");
     }
 
     #[test]

@@ -561,6 +561,148 @@ fn gemm_driver(
     );
 }
 
+/// True for the products the thin path serves instead of packing: `n == 1`
+/// (a matrix–vector product — a GAT score projection, FusionAgg's `x·a`, a
+/// d→1 classifier) and `k == 1` (an outer product — those projections'
+/// `nt` backward). Packing would pad the single column to a whole `NR`
+/// panel and run a mostly idle tile.
+pub(crate) fn is_thin(m: usize, k: usize, n: usize) -> bool {
+    m > 0 && k > 0 && (n == 1 || k == 1)
+}
+
+/// Unpacked driver for [`is_thin`] shapes. With `n == 1` the RHS is a
+/// length-`k` vector and with `k == 1` both operands are vectors, whatever
+/// their logical transposes, so only `a_trans` (for `n == 1`) changes how
+/// an operand is read. Each output element keeps one accumulator chain in
+/// ascending `k` — seeded from `out` when `accumulate`, else from `0.0` —
+/// with the packed microkernels' step (`acc + a·b` on the deterministic
+/// tier, `a.mul_add(b, acc)` on the fast-math tier, the scalar tier never
+/// fused), so it matches the packed driver and the oracle bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn thin_driver(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a_trans: bool,
+    accumulate: bool,
+) {
+    let is = isa();
+    // Resolved on the calling thread (see `gemm_driver`).
+    let fm = fast_math_active();
+    let t = ThinArgs {
+        a,
+        b,
+        m,
+        k,
+        n,
+        a_trans,
+        accumulate,
+    };
+    par::for_each_row_block(out, n, m * k * n, |rows, chunk| match is {
+        Isa::Scalar => thin_body::<false>(&t, rows, chunk),
+        // SAFETY: `isa()` only returns a SIMD tier after detecting at
+        // least AVX2, and `fm` is only true when FMA was detected.
+        #[cfg(target_arch = "x86_64")]
+        _ => unsafe {
+            if fm {
+                thin_avx2_fma(&t, rows, chunk)
+            } else {
+                thin_avx2(&t, rows, chunk)
+            }
+        },
+    });
+}
+
+/// Operands and shape of one [`thin_driver`] call.
+struct ThinArgs<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a_trans: bool,
+    accumulate: bool,
+}
+
+/// Rows interleaved by the `n == 1` row-dot loop: independent chains that
+/// hide the add latency of each row's strictly serial reduction.
+const THIN_ROWS: usize = 8;
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn thin_avx2(t: &ThinArgs, rows: std::ops::Range<usize>, chunk: &mut [f32]) {
+    thin_body::<false>(t, rows, chunk);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn thin_avx2_fma(t: &ThinArgs, rows: std::ops::Range<usize>, chunk: &mut [f32]) {
+    thin_body::<true>(t, rows, chunk);
+}
+
+/// One accumulation step of an element's chain, as the microkernels take
+/// it: separate mul + add, or one fused multiply-add on the fast tier.
+#[inline(always)]
+fn thin_step<const FMA: bool>(acc: f32, x: f32, y: f32) -> f32 {
+    if FMA {
+        x.mul_add(y, acc)
+    } else {
+        acc + x * y
+    }
+}
+
+/// Output rows `rows` of a thin product into `chunk` (those rows only).
+#[inline(always)]
+fn thin_body<const FMA: bool>(t: &ThinArgs, rows: std::ops::Range<usize>, chunk: &mut [f32]) {
+    let (a, b, m, k, n) = (t.a, t.b, t.m, t.k, t.n);
+    if !t.accumulate {
+        chunk.fill(0.0);
+    }
+    if k == 1 {
+        // Outer product: every element is a one-step chain.
+        for (o_row, &av) in chunk.chunks_exact_mut(n).zip(&a[rows]) {
+            for (o, &bv) in o_row.iter_mut().zip(&b[..n]) {
+                *o = thin_step::<FMA>(*o, av, bv);
+            }
+        }
+    } else if t.a_trans {
+        // `a` is `k×m`: sweep its rows, each one step of every chain.
+        for (p, &bp) in b[..k].iter().enumerate() {
+            let a_row = &a[p * m + rows.start..p * m + rows.end];
+            for (o, &av) in chunk.iter_mut().zip(a_row) {
+                *o = thin_step::<FMA>(*o, av, bp);
+            }
+        }
+    } else {
+        // `a` is `m×k`: one row dot per element, `THIN_ROWS` at a time.
+        let b = &b[..k];
+        let a = &a[rows.start * k..rows.end * k];
+        let mut blocks = chunk.chunks_exact_mut(THIN_ROWS);
+        let mut a_blocks = a.chunks_exact(THIN_ROWS * k);
+        for (o, a_blk) in (&mut blocks).zip(&mut a_blocks) {
+            let mut acc = [0.0f32; THIN_ROWS];
+            acc.copy_from_slice(o);
+            for (p, &bp) in b.iter().enumerate() {
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    *acc_r = thin_step::<FMA>(*acc_r, a_blk[r * k + p], bp);
+                }
+            }
+            o.copy_from_slice(&acc);
+        }
+        let tail = blocks.into_remainder();
+        for (o, a_row) in tail.iter_mut().zip(a_blocks.remainder().chunks_exact(k)) {
+            let mut acc = *o;
+            for (&av, &bp) in a_row.iter().zip(b) {
+                acc = thin_step::<FMA>(acc, av, bp);
+            }
+            *o = acc;
+        }
+    }
+}
+
 thread_local! {
     /// Per-thread pack scratch for kernels without a cached RHS pack (direct
     /// `Matrix` calls and the backward kernels). Grows once, then steady-state
@@ -585,7 +727,8 @@ fn with_pack_scratch(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>)) {
 
 /// General entry: pack both operands into thread-local scratch, then run the
 /// driver. `m×k (op A) · k×n (op B)` with the transposes selecting how the
-/// operands are read (see [`pack_a_into`] / [`pack_b_into`]).
+/// operands are read (see [`pack_a_into`] / [`pack_b_into`]). Thin shapes
+/// ([`is_thin`]) skip packing for the unpacked [`thin_driver`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_into(
     a: &[f32],
@@ -598,6 +741,9 @@ pub(crate) fn matmul_into(
     b_trans: bool,
     accumulate: bool,
 ) {
+    if is_thin(m, k, n) {
+        return thin_driver(a, b, out, m, k, n, a_trans, accumulate);
+    }
     with_pack_scratch(|pa, pb| {
         pack_a_into(a, m, k, a_trans, pa);
         pack_b_into(b, k, n, b_trans, pb);
@@ -747,6 +893,39 @@ mod tests {
         let mut out = vec![0.0f32; 1];
         matmul_into(&a, &b, &mut out, 1, 1, 1, false, false, true);
         assert_eq!(out[0], f32::INFINITY);
+    }
+
+    #[test]
+    #[ignore = "manual perf probe: cargo test -p uvd-tensor --release -- --ignored probe --nocapture"]
+    fn probe_thin_matmul_us() {
+        for &(m, k) in &[(900usize, 16usize), (900, 32)] {
+            let a = fill(m * k, 1);
+            let b = fill(k, 2);
+            let mut out = vec![0.0f32; m];
+            let mut best = [f64::INFINITY; 2];
+            for _ in 0..200 {
+                for (slot, thin) in [(0, true), (1, false)] {
+                    out.fill(0.0);
+                    let t = std::time::Instant::now();
+                    if thin {
+                        matmul_into(&a, &b, &mut out, m, k, 1, false, false, true);
+                    } else {
+                        with_pack_scratch(|pa, pb| {
+                            pack_a_into(&a, m, k, false, pa);
+                            pack_b_into(&b, k, 1, false, pb);
+                            gemm_driver(pa, pb, &mut out, m, k, 1, true);
+                        });
+                    }
+                    best[slot] = best[slot].min(t.elapsed().as_secs_f64());
+                    std::hint::black_box(&out);
+                }
+            }
+            println!(
+                "{m}x{k}x1: thin {:.2} us, packed {:.2} us",
+                best[0] * 1e6,
+                best[1] * 1e6
+            );
+        }
     }
 
     #[test]

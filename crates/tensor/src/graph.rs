@@ -15,9 +15,10 @@
 //! [`Graph::inference`], which never allocates gradient buffers.
 //!
 //! Besides the usual dense ops, the tape has graph-learning primitives needed
-//! by the paper: `gather_rows`, per-destination `edge_softmax`, attention
-//! aggregation (`edge_aggregate`), constant-sparse matmul (`spmm`) for GCN,
-//! a `gated_matmul` implementing the MS-Gate parameter filter (eq. 21), and
+//! by the paper: `gather_rows`, per-destination `edge_softmax`, the fused GAT
+//! score-to-weight chain (`edge_attention`), attention aggregation
+//! (`edge_aggregate`), constant-sparse matmul (`spmm`) for GCN, a
+//! `gated_matmul` implementing the MS-Gate parameter filter (eq. 21), and
 //! im2col convolution / max pooling for the CNN baselines.
 
 use crate::conv::{ConvMeta, PoolMeta};
@@ -106,6 +107,8 @@ impl Graph {
         RECORD_NODES.add(1);
         let id = NodeId::from_index(self.plan.len());
         let needs = crate::plan::op_needs_grad(&op, &self.plan.needs_grad);
+        let fused = crate::plan::fused_scratch_len(&op, value.len());
+        self.plan.fused_scratch_len = self.plan.fused_scratch_len.max(fused);
         // Leaves start as pack-cacheable constants; `param` (refreshed every
         // replay) demotes itself, `set_value` invalidates the cached pack.
         self.plan.const_leaf.push(matches!(op, Op::Leaf));
@@ -114,6 +117,7 @@ impl Graph {
         self.ws.values.push(value);
         self.ws.packs.push(Default::default());
         self.ws.packs_a.push(Default::default());
+        self.ws.aux.push(Vec::new());
         id
     }
 
@@ -386,6 +390,34 @@ impl Graph {
         );
         let e = edges.n_edges();
         self.record(Op::EdgeSoftmax(scores, edges), e, 1)
+    }
+
+    /// GAT attention weights (eqs. 3 / 7) as one node:
+    /// `alpha = edge_softmax(leaky_relu(s_dst[dst] + s_src[src]))` with
+    /// `s_dst = h_dst · a_dst` and `s_src = h_src · a_src` (`N×1` each).
+    /// Bitwise equal, value and gradients, to recording that chain from
+    /// `matmul`, `gather_rows`, `add`, `leaky_relu` and `edge_softmax`
+    /// (DESIGN §7), without its five `E`-length intermediates.
+    pub fn edge_attention(
+        &mut self,
+        h_dst: NodeId,
+        h_src: NodeId,
+        a_dst: NodeId,
+        a_src: NodeId,
+        slope: f32,
+        edges: Arc<EdgeIndex>,
+    ) -> NodeId {
+        for (h, a) in [(h_dst, a_dst), (h_src, a_src)] {
+            let (n, d) = self.value(h).shape();
+            assert_eq!(n, edges.n_nodes(), "edge_attention h rows");
+            assert_eq!(self.value(a).shape(), (d, 1), "edge_attention a shape");
+        }
+        let e = edges.n_edges();
+        self.record(
+            Op::EdgeAttention(h_dst, h_src, a_dst, a_src, slope, edges),
+            e,
+            1,
+        )
     }
 
     /// Attention aggregation (eq. 2 / eq. 6): `out[dst] += alpha_e * h[src]`.

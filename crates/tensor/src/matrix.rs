@@ -187,6 +187,9 @@ impl Matrix {
 
     /// Like [`Matrix::matmul_acc`] but with the RHS already packed into a
     /// panel buffer (a `Workspace` pack cache slot) by [`crate::gemm`].
+    /// Thin products ([`gemm::is_thin`]) read `rhs` unpacked instead. The
+    /// caller still keeps its pack slot current, so a replayed tape's pack
+    /// stamps and counters do not depend on operand shapes.
     pub(crate) fn matmul_acc_cached(&self, rhs: &Matrix, b_pack: &[f32], out: &mut [f32]) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -195,6 +198,9 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, rhs.cols);
         assert_eq!(out.len(), m * n, "matmul output buffer size");
+        if gemm::is_thin(m, k, n) {
+            return gemm::matmul_into(&self.data, &rhs.data, out, m, k, n, false, false, true);
+        }
         gemm::matmul_prepacked_b(&self.data, false, b_pack, out, m, k, n, true);
     }
 

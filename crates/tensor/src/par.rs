@@ -22,8 +22,8 @@
 //! ## Dispatch policy
 //!
 //! A kernel goes parallel only when its estimated scalar-op count reaches
-//! [`MIN_PAR_WORK`] (small matrices stay serial — pool dispatch is cheap but
-//! not free) **and** the effective thread count is above one. The thread
+//! [`MIN_PAR_WORK`] (small matrices stay serial — pool dispatch is not
+//! free, see that constant) **and** the effective thread count is above one. The thread
 //! count comes from, in priority order: a thread-local override installed by
 //! [`with_threads`] (used by benches/tests), the `UVD_THREADS` environment
 //! variable (read once), or the machine's available parallelism.
@@ -47,7 +47,15 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Minimum estimated scalar operations before a kernel goes parallel.
-/// Below this, pool dispatch overhead (~µs) rivals the compute itself.
+/// Below this, pool dispatch overhead rivals the compute itself.
+///
+/// That overhead is tens of µs, not the ~1 µs this value was chosen for.
+/// Measured on a 2-vCPU AVX-512 VM: an empty 900×16 [`for_each_row_block`]
+/// dispatch costs ~21 µs at 2 threads against ~1.6 µs inline, and a
+/// Fuzhou-like CMSF fold ran slower at 2 threads than at 1 in 7 of 8
+/// interleaved pairs. Why (worker wake latency, or the caller taking the
+/// spawned chunk back while it waits) is an open ROADMAP item; the value
+/// stays until that is known (DESIGN §6).
 pub const MIN_PAR_WORK: usize = 1 << 16;
 
 /// Parse a `UVD_THREADS` value. Accepted: a positive integer thread count.

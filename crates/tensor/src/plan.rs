@@ -100,8 +100,9 @@ pub enum FusedAct {
     Sigmoid,
 }
 
-/// The elementwise activation of a [`FusedAct`], as the fused
-/// `MatMulBiasAct` forward applies it to `x + bias`.
+/// The elementwise activation of a [`FusedAct`], exactly the standalone
+/// op's expression: `MatMulBiasAct` applies it to `x + bias`,
+/// `EdgeAttention` (LeakyRelu) to each edge score.
 #[inline]
 fn fused_act_apply(act: FusedAct, x: f32) -> f32 {
     match act {
@@ -155,6 +156,12 @@ pub(crate) enum Op {
     SpMM(Arc<CsrPair>, NodeId),
     EdgeSoftmax(NodeId, Arc<EdgeIndex>),
     EdgeAggregate(NodeId, NodeId, Arc<EdgeIndex>),
+    /// GAT attention weights `(h_dst, h_src, a_dst, a_src, slope, edges)`:
+    /// `edge_softmax(leaky_relu(gather(h_dst·a_dst, dst) + gather(h_src·a_src,
+    /// src)))` as one node, bitwise equal to that seven-node chain (DESIGN
+    /// §7). The two `N×1` projections live in the node's `Workspace::aux`
+    /// slot between forward and backward.
+    EdgeAttention(NodeId, NodeId, NodeId, NodeId, f32, Arc<EdgeIndex>),
     GatedMatMul(NodeId, NodeId, NodeId),
     SubOuter(NodeId, NodeId),
     BceWithLogits(NodeId, Arc<Vec<f32>>, Arc<Vec<f32>>),
@@ -181,6 +188,21 @@ pub struct Plan {
     /// lifetime of the plan; non-constant operands repack once per replay
     /// epoch.
     pub(crate) const_leaf: Vec<bool>,
+    /// Floats of `Workspace::fused_scratch` the fused ops' backward needs,
+    /// the maximum of [`fused_scratch_len`] over the recorded ops. Kept at
+    /// record time so a backward pass never scans the op list for it.
+    pub(crate) fused_scratch_len: usize,
+}
+
+/// Backward scratch one op takes from `Workspace::fused_scratch`, given its
+/// output length: `MatMulBiasAct`'s `dz`; `EdgeAttention`'s per-edge score
+/// gradient plus the two per-node projection gradients.
+pub(crate) fn fused_scratch_len(op: &Op, out_len: usize) -> usize {
+    match op {
+        Op::MatMulBiasAct(..) => out_len,
+        Op::EdgeAttention(.., edges) => out_len + 2 * edges.n_nodes(),
+        _ => 0,
+    }
 }
 
 /// Whether an op's output lies on a path from a parameter/variable leaf,
@@ -203,6 +225,9 @@ pub(crate) fn op_needs_grad(op: &Op, needs: &[bool]) -> bool {
         | Op::EdgeAggregate(a, b, _) => needs[a.idx()] || needs[b.idx()],
         Op::MatMulBiasAct(a, b, bias, _) => needs[a.idx()] || needs[b.idx()] || needs[bias.idx()],
         Op::GatedMatMul(x, w, f) => needs[x.idx()] || needs[w.idx()] || needs[f.idx()],
+        Op::EdgeAttention(hd, hs, ad, as_, _, _) => {
+            [hd, hs, ad, as_].iter().any(|id| needs[id.idx()])
+        }
         Op::Scale(a, _)
         | Op::AddScalar(a, _)
         | Op::LeakyRelu(a, _)
@@ -249,10 +274,16 @@ pub struct Workspace {
     /// whose parameters never change skip both entirely and their packs
     /// stay persistent.
     pub(crate) param_versions: Vec<u64>,
-    /// Scratch for the fused-op backward's `dz = dy ⊙ act'(y)` product.
-    /// Distinct from `scratch`, which [`contribute`] zeroes for second
-    /// contributions while `dz` must stay live across all three of them.
+    /// Scratch for the fused ops' backward: `MatMulBiasAct`'s
+    /// `dz = dy ⊙ act'(y)`, `EdgeAttention`'s score and projection
+    /// gradients. Distinct from `scratch`, which [`contribute`] zeroes for
+    /// second contributions while these must stay live across all of them.
+    /// Sized from [`Plan::fused_scratch_len`].
     pub(crate) fused_scratch: Vec<f32>,
+    /// Per-node op state carried from forward to backward, empty for every
+    /// op but `EdgeAttention` (its `s_dst ‖ s_src` projections). Sized when
+    /// the op first executes, i.e. at record time.
+    pub(crate) aux: Vec<Vec<f32>>,
 }
 
 impl Workspace {
@@ -279,7 +310,8 @@ impl Workspace {
         let vals: usize = self.values.iter().map(|m| m.len() * 4).sum();
         let grads: usize = self.grads.iter().map(|m| m.len() * 4).sum();
         let scratch = (self.scratch.len() + self.fused_scratch.len()) * 4;
-        vals + grads + scratch + self.pack_bytes() + self.seen.len()
+        let aux: usize = self.aux.iter().map(|a| a.len() * 4).sum();
+        vals + grads + scratch + aux + self.pack_bytes() + self.seen.len()
     }
 
     /// Bytes held by the cached matmul RHS panel packs (part of
@@ -305,7 +337,7 @@ impl Workspace {
     /// can reach: full-size for nodes on a parameter path (plus the root,
     /// which holds the seed), zero-size for pruned nodes. No-op when already
     /// sized — the steady-state path.
-    fn ensure_grads(&mut self, needs: &[bool], root: usize, has_fused: bool) {
+    fn ensure_grads(&mut self, needs: &[bool], root: usize, fused_len: usize) {
         let want = |i: usize, v: &Matrix| -> (usize, usize) {
             if needs[i] || i == root {
                 v.shape()
@@ -314,7 +346,6 @@ impl Workspace {
             }
         };
         let max_len = self.values.iter().map(|v| v.len()).max().unwrap_or(0);
-        let fused_len = if has_fused { max_len } else { 0 };
         let fits = self.grads.len() == self.values.len()
             && self.fused_scratch.len() == fused_len
             && self
@@ -365,6 +396,9 @@ impl Plan {
         }
         if ws.packs_a.len() != ws.values.len() {
             ws.packs_a.resize_with(ws.values.len(), PackedB::default);
+        }
+        if ws.aux.len() != ws.values.len() {
+            ws.aux.resize_with(ws.values.len(), Vec::new);
         }
         // Entering a new epoch invalidates the per-epoch pack stamps of
         // non-constant *computed* operands. Parameter leaves are version-
@@ -422,17 +456,14 @@ impl Plan {
             seed.shape(),
             "seed shape mismatch"
         );
-        let has_fused = self
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::MatMulBiasAct(..)));
-        ws.ensure_grads(&self.needs_grad, root.idx(), has_fused);
+        ws.ensure_grads(&self.needs_grad, root.idx(), self.fused_scratch_len);
         let Workspace {
             values,
             grads,
             seen,
             scratch,
             fused_scratch,
+            aux,
             ..
         } = ws;
         seen.fill(false);
@@ -450,6 +481,7 @@ impl Plan {
                 &self.ops[id],
                 id,
                 values,
+                &aux[id],
                 gh,
                 dy,
                 seen,
@@ -544,6 +576,7 @@ pub(crate) fn exec_forward(plan: &Plan, ws: &mut Workspace, i: usize) {
         values,
         packs,
         packs_a,
+        aux,
         ..
     } = ws;
     let is_const = |id: NodeId| plan.const_leaf.get(id.idx()).copied().unwrap_or(false);
@@ -666,6 +699,20 @@ pub(crate) fn exec_forward(plan: &Plan, ws: &mut Workspace, i: usize) {
         Op::EdgeSoftmax(scores, edges) => {
             edge_softmax_forward(&head[scores.idx()], edges, out.as_mut_slice());
         }
+        Op::EdgeAttention(h_dst, h_src, a_dst, a_src, slope, edges) => {
+            let n = edges.n_nodes();
+            let s = &mut aux[i];
+            // Sized on the first execution (recording); replay reuses it.
+            s.resize(2 * n, 0.0);
+            let (s_dst, s_src) = s.split_at_mut(n);
+            // Each projection exactly as a `MatMul` node computes it.
+            for (hn, an, sv) in [(h_dst, a_dst, s_dst), (h_src, a_src, s_src)] {
+                sv.fill(0.0);
+                head[hn.idx()].matmul_acc(&head[an.idx()], sv);
+            }
+            let (s_dst, s_src) = s.split_at(n);
+            edge_attention_forward(s_dst, s_src, *slope, edges, out.as_mut_slice());
+        }
         Op::EdgeAggregate(alpha, h, edges) => {
             out.as_mut_slice().fill(0.0);
             edge_aggregate_forward(
@@ -763,6 +810,49 @@ fn edge_softmax_forward(s: &Matrix, edges: &EdgeIndex, out: &mut [f32]) {
                 }
                 for e in range {
                     chunk[e - base] /= sum;
+                }
+            }
+        },
+    );
+}
+
+/// Fused score chain of [`Op::EdgeAttention`]: per destination `i`, in edge
+/// order, `x_e = LeakyReLU(s_dst[i] + s_src[src_e])`, then exactly
+/// [`edge_softmax_forward`]'s max / exp / sum / divide over those scores.
+/// `out` holds the scores until the softmax overwrites them.
+fn edge_attention_forward(
+    s_dst: &[f32],
+    s_src: &[f32],
+    slope: f32,
+    edges: &EdgeIndex,
+    out: &mut [f32],
+) {
+    let (dst_ptr, src) = (edges.dst_ptr(), edges.src());
+    let leaky = FusedAct::LeakyRelu(slope);
+    par::for_each_disjoint(
+        out,
+        edges.n_nodes(),
+        edges.n_edges() * 8,
+        |i| dst_ptr[i] as usize,
+        |nodes, chunk| {
+            let base = dst_ptr[nodes.start] as usize;
+            for i in nodes {
+                let range = edges.incoming(i);
+                if range.is_empty() {
+                    continue;
+                }
+                let x = &mut chunk[range.start - base..range.end - base];
+                for (xe, &s) in x.iter_mut().zip(&src[range]) {
+                    *xe = fused_act_apply(leaky, s_dst[i] + s_src[s as usize]);
+                }
+                let mx = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0;
+                for xe in x.iter_mut() {
+                    *xe = (*xe - mx).exp();
+                    sum += *xe;
+                }
+                for xe in x.iter_mut() {
+                    *xe /= sum;
                 }
             }
         },
@@ -1008,6 +1098,7 @@ fn apply_backward(
     op: &Op,
     id: usize,
     values: &[Matrix],
+    aux: &[f32],
     gh: &mut [Matrix],
     dy: &Matrix,
     seen: &mut [bool],
@@ -1359,6 +1450,34 @@ fn apply_backward(
                 }
             });
         }
+        Op::EdgeAttention(h_dst, h_src, a_dst, a_src, slope, edges) => {
+            let (n, e) = (edges.n_nodes(), edges.n_edges());
+            let (s_dst, s_src) = aux.split_at(n);
+            let (dscore, ds) = fused_scratch[..e + 2 * n].split_at_mut(e);
+            edge_attention_backward(&values[id], dy, s_dst, s_src, *slope, edges, dscore);
+            // The two gathers' scatter-adds, serial in edge order: sources
+            // repeat across edges.
+            let (ds_dst, ds_src) = ds.split_at_mut(n);
+            ds_dst.fill(0.0);
+            ds_src.fill(0.0);
+            for ((&g, &src), &dst) in dscore.iter().zip(edges.src()).zip(edges.dst()) {
+                ds_src[src as usize] += g;
+                ds_dst[dst as usize] += g;
+            }
+            // The two projections' `MatMul` backward, in the order the
+            // unfused reverse sweep reaches them: `s_src` (recorded later)
+            // first, each delivering `dA` then `dB` (DESIGN §7).
+            for (hn, an, dsv) in [(h_src, a_src, &*ds_src), (h_dst, a_dst, &*ds_dst)] {
+                let (hm, am) = (&values[hn.idx()], &values[an.idx()]);
+                let d = hm.cols();
+                contribute(gh, seen, scratch, needs, hn.idx(), |buf| {
+                    gemm::matmul_into(dsv, am.as_slice(), buf, n, 1, d, false, true, false);
+                });
+                contribute(gh, seen, scratch, needs, an.idx(), |buf| {
+                    gemm::matmul_into(hm.as_slice(), dsv, buf, d, n, 1, true, false, true);
+                });
+            }
+        }
         Op::GatedMatMul(x, w, f) => {
             let xm = &values[x.idx()];
             let wm = &values[w.idx()];
@@ -1473,6 +1592,43 @@ fn apply_backward(
             merge_owned(gh, seen, needs, x.idx(), &dx);
         }
     }
+}
+
+/// Score gradient of [`Op::EdgeAttention`] into `dscore` (`E`): per
+/// destination, [`Op::EdgeSoftmax`]'s backward (`α_e · (dα_e − Σ α·dα)`),
+/// then [`Op::LeakyRelu`]'s, its mask taken from the recomputed input score
+/// `s_dst[i] + s_src[src_e]` as the standalone op takes it.
+fn edge_attention_backward(
+    alpha: &Matrix,
+    dy: &Matrix,
+    s_dst: &[f32],
+    s_src: &[f32],
+    slope: f32,
+    edges: &EdgeIndex,
+    dscore: &mut [f32],
+) {
+    let (dst_ptr, src) = (edges.dst_ptr(), edges.src());
+    par::for_each_disjoint(
+        dscore,
+        edges.n_nodes(),
+        edges.n_edges() * 4,
+        |i| dst_ptr[i] as usize,
+        |nodes, chunk| {
+            let base = dst_ptr[nodes.start] as usize;
+            for i in nodes {
+                let range = edges.incoming(i);
+                if range.is_empty() {
+                    continue;
+                }
+                let dot: f32 = range.clone().map(|e| alpha.get(e, 0) * dy.get(e, 0)).sum();
+                for e in range {
+                    let g = alpha.get(e, 0) * (dy.get(e, 0) - dot);
+                    let x = s_dst[i] + s_src[src[e] as usize];
+                    chunk[e - base] = if x > 0.0 { g } else { slope * g };
+                }
+            }
+        },
+    );
 }
 
 /// Fused gated-matmul backward into three caller-zeroed buffers; identical

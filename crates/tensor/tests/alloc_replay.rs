@@ -218,6 +218,75 @@ fn replayed_conv_epoch_performs_zero_heap_allocations() {
     });
 }
 
+/// Same steady-state gate over a GAT-head tape: the fused `edge_attention`
+/// node carries its two projections from forward to backward in a slot
+/// sized at record time and takes its score gradients from the fused
+/// scratch, so replay and backward stay allocation-free.
+#[test]
+fn replayed_gat_epoch_performs_zero_heap_allocations() {
+    uvd_obs::disable();
+    par::serial_scope(|| {
+        let (n, d, h) = (24, 6, 4);
+        let mut rng = uvd_tensor::seeded_rng(17);
+        let x = uvd_tensor::init::normal_matrix(n, d, 0.0, 1.0, &mut rng);
+        let mut pairs: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, i)).collect();
+        pairs.extend((0..n as u32).map(|i| ((i * 7 + 3) % n as u32, i)));
+        let edges = Arc::new(uvd_tensor::EdgeIndex::from_pairs(n, pairs));
+        let param = |name: &str, r: usize, c: usize, rng: &mut uvd_tensor::Rng64| {
+            ParamRef::new(name, uvd_tensor::init::normal_matrix(r, c, 0.0, 0.3, rng))
+        };
+        let w = param("w", d, h, &mut rng);
+        let a_dst = param("a_dst", h, 1, &mut rng);
+        let a_src = param("a_src", h, 1, &mut rng);
+        let w_out = param("w_out", h, 1, &mut rng);
+        let mut set = ParamSet::new();
+        for p in [&w, &a_dst, &a_src, &w_out] {
+            set.track(p.clone());
+        }
+        let targets: Arc<Vec<f32>> = Arc::new((0..n).map(|i| (i % 2) as f32).collect());
+        let weights = Arc::new(vec![1.0f32; n]);
+
+        let mut opt = Adam::new(0.01);
+        let mut g = Graph::new();
+        let xc = g.constant(x);
+        let wn = g.param(&w);
+        let hn = g.matmul(xc, wn);
+        let adn = g.param(&a_dst);
+        let asn = g.param(&a_src);
+        let alpha = g.edge_attention(hn, hn, adn, asn, 0.2, edges.clone());
+        let agg = g.edge_aggregate(alpha, hn, edges);
+        let act = g.leaky_relu(agg, 0.2);
+        let won = g.param(&w_out);
+        let z = g.matmul(act, won);
+        let loss = g.bce_with_logits(z, targets, weights);
+
+        let epoch = |g: &mut Graph, opt: &mut Adam, replay: bool| -> f32 {
+            if replay {
+                g.replay();
+            }
+            let lv = g.scalar(loss);
+            g.backward(loss);
+            g.write_grads();
+            opt.step(&set);
+            lv
+        };
+
+        epoch(&mut g, &mut opt, false);
+        epoch(&mut g, &mut opt, true);
+
+        let before = allocation_count();
+        let lv = epoch(&mut g, &mut opt, true);
+        let after = allocation_count();
+        assert!(lv.is_finite());
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state replayed GAT epoch allocated {} times",
+            after - before
+        );
+    });
+}
+
 #[test]
 fn no_grad_inference_never_allocates_gradient_buffers() {
     par::serial_scope(|| {

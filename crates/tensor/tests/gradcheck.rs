@@ -225,6 +225,24 @@ fn grad_edge_softmax_and_aggregate() {
 }
 
 #[test]
+fn grad_fused_edge_attention() {
+    // Cross head (separate h_dst / h_src), varied in-degrees, an isolated
+    // node (3) and a single-edge node (0); all four operands checked.
+    let edges = Arc::new(EdgeIndex::from_pairs(
+        5,
+        vec![(1, 0), (0, 1), (2, 1), (4, 1), (1, 2), (2, 2), (4, 4)],
+    ));
+    let m = rng_mats(21, &[(5, 3), (5, 3), (3, 1), (3, 1)]);
+    gradcheck(&m, move |g, ids| {
+        let alpha = g.edge_attention(ids[0], ids[1], ids[2], ids[3], 0.2, edges.clone());
+        let out = g.edge_aggregate(alpha, ids[1], edges.clone());
+        let out = g.tanh(out);
+        let sq = g.mul(out, out);
+        g.sum_all(sq)
+    });
+}
+
+#[test]
 fn grad_gated_matmul() {
     let mut rng = seeded_rng(14);
     let x = normal_matrix(3, 4, 0.0, 1.0, &mut rng);

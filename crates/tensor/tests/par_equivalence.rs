@@ -156,6 +156,56 @@ fn matmul_parallel_is_bit_deterministic() {
     assert_eq!(serial.as_slice(), run3.as_slice(), "3-thread run differs");
 }
 
+/// Thin products skip packing for the unpacked path — `n == 1` (GAT score
+/// projections and their `tn` weight gradient, d→1 heads) and `k == 1`
+/// (the projections' `nt` input gradient) — and must still match the
+/// frozen naive kernels bitwise, serial and at 2 and 7 threads. The large
+/// shapes clear `MIN_PAR_WORK`, so the thread runs really partition.
+#[test]
+fn thin_matmul_family_bitwise_matches_naive() {
+    let shapes = [
+        (1, 1, 1),
+        (13, 7, 1),
+        (37, 300, 1),
+        (5000, 16, 1),
+        (16, 5000, 1),
+        (9, 1, 13),
+        (5000, 1, 24),
+        (1, 1, 40),
+    ];
+    for (i, &(m, k, n)) in shapes.iter().enumerate() {
+        let mut rng = seeded_rng(100 + i as u64);
+        let a = normal_matrix(m, k, 0.0, 1.0, &mut rng);
+        let b = normal_matrix(k, n, 0.0, 1.0, &mut rng);
+        let at = normal_matrix(k, m, 0.0, 1.0, &mut rng);
+        let bt = normal_matrix(n, k, 0.0, 1.0, &mut rng);
+        let naive = [
+            oracle::naive_matmul(&a, &b),
+            oracle::naive_matmul_tn(&at, &b),
+            oracle::naive_matmul_nt(&a, &bt),
+        ];
+        // `nt` writes every element: start it from NaN, not zeros.
+        let run = || {
+            let mut nt = Matrix::filled(m, n, f32::NAN);
+            a.matmul_nt_to(&bt, nt.as_mut_slice());
+            [a.matmul(&b), at.matmul_tn(&b), nt]
+        };
+        for (label, got) in [
+            ("serial", par::serial_scope(run)),
+            ("2 threads", par::with_threads(2, run)),
+            ("7 threads", par::with_threads(7, run)),
+        ] {
+            for (form, (want, got)) in ["nn", "tn", "nt"].iter().zip(naive.iter().zip(&got)) {
+                assert_eq!(
+                    want.as_slice(),
+                    got.as_slice(),
+                    "{form} {m}x{k}x{n} {label}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn spmm_parallel_is_bit_deterministic() {
     let a = fixed_csr(512, 512, 11);

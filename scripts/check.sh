@@ -40,6 +40,10 @@ UVD_FAST_MATH=1 cargo test -p uvd-tensor --release --test fastmath_tiers -q
 # workers and the prefetch producer thread, not only the calling thread.
 UVD_FAST_MATH=1 cargo test -p cmsf --release --test fit_golden -q
 UVD_FAST_MATH=1 cargo test -p uvd-bench --release --test img_golden -q
+# The fused GAT edge-attention op and the seven-node chain it replaced
+# share the tiered score projections, so they must agree bitwise on the
+# FMA tier too (the ISA tiers are covered in the loop below).
+UVD_FAST_MATH=1 cargo test -p uvd-tensor --release --test edge_attention_differential -q
 # Build-path determinism gate in release mode: the parallel URG build
 # (dense, and streamed through the pipelined render/fold path) must be
 # bitwise identical to the serial build at every swept thread count.
@@ -47,12 +51,14 @@ UVD_FAST_MATH=1 cargo test -p uvd-bench --release --test img_golden -q
 # parallel feature extraction dispatches to.
 cargo test -p uvd-urg --release --test par_build -q
 # ISA-tier gate: the direct conv stack against the packed-GEMM conv path,
-# the URG build, the VGG-sim image-feature golden (`img_golden`, recorded
-# before the stack replaced the im2col + GEMM loop) and the CMSF training
-# pins (`fit_golden`) must reproduce the same bits on the AVX2 and scalar
+# the fused edge-attention op against its seven-node chain, the URG build,
+# the VGG-sim image-feature golden (`img_golden`, recorded before the
+# stack replaced the im2col + GEMM loop) and the CMSF training pins
+# (`fit_golden`) must reproduce the same bits on the AVX2 and scalar
 # tiers as on the detected one.
 for isa in scalar avx2; do
     UVD_GEMM_ISA=$isa cargo test -p uvd-tensor --release --test conv_stack -q
+    UVD_GEMM_ISA=$isa cargo test -p uvd-tensor --release --test edge_attention_differential -q
     UVD_GEMM_ISA=$isa cargo test -p cmsf --release --test fit_golden -q
     UVD_GEMM_ISA=$isa cargo test -p uvd-urg --release --test par_build -q
     UVD_GEMM_ISA=$isa cargo test -p uvd-bench --release --test img_golden -q
