@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use uvd_citysim::{City, CityConfig, CityPreset, CityStream};
-use uvd_tensor::par;
+use uvd_tensor::{fastmath, par};
 use uvd_urg::{ShardedUrg, Urg, UrgOptions};
 
 /// Small irregular city: non-square grids, a few UV patches.
@@ -86,4 +86,75 @@ proptest! {
             );
         }
     }
+}
+
+/// 64-bit FNV-1a over little-endian 32-bit words.
+fn fnv1a(mut h: u64, words: impl IntoIterator<Item = u32>) -> u64 {
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// FNV-1a over every URG field the model consumes: `pairs`, the directed
+/// edge index, each `adj_norm` row as `(col, value bits)`, both feature
+/// matrices and the labels.
+fn urg_hash(u: &Urg) -> u64 {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    h = fnv1a(h, u.pairs.iter().flat_map(|&(a, b)| [a, b]));
+    h = fnv1a(h, u.edges.src().iter().copied());
+    h = fnv1a(h, u.edges.dst().iter().copied());
+    for r in 0..u.n {
+        h = fnv1a(
+            h,
+            u.adj_norm
+                .fwd
+                .row_iter(r)
+                .flat_map(|(c, v)| [c, v.to_bits()]),
+        );
+    }
+    h = fnv1a(h, bits(u.x_poi.as_slice()));
+    h = fnv1a(h, bits(u.x_img.as_slice()));
+    h = fnv1a(h, u.labeled.iter().copied());
+    fnv1a(h, bits(&u.y))
+}
+
+/// `urg_hash` of `Urg::build` on `city_cfg(9, 7)` at seed 13 with default
+/// options, recorded from the dense builder that had its own feature and
+/// standardization code, before it became a one-tile stream.
+const URG_PIN: u64 = 0xdb3e_1ce9_6aac_d455;
+/// The same city built with `UrgOptions::no_image()`.
+const URG_PIN_NO_IMAGE: u64 = 0x3483_2eae_de24_ffac;
+
+/// Dense and streamed (3-row tiles) builds of one irregular city hash to
+/// recorded constants, serially and at 2 and 7 threads, on the
+/// deterministic tier whatever `UVD_FAST_MATH` selects.
+#[test]
+fn urg_build_is_pinned() {
+    let cfg = city_cfg(9, 7);
+    let city = City::from_config(cfg.clone(), 13);
+    fastmath::with_fast_math(false, || {
+        for threads in [1usize, 2, 7] {
+            par::with_threads(threads, || {
+                let dense = urg_hash(&Urg::build(&city, UrgOptions::default()));
+                assert_eq!(dense, URG_PIN, "dense threads={threads}: 0x{dense:016x}");
+                let no_image = urg_hash(&Urg::build(&city, UrgOptions::no_image()));
+                assert_eq!(
+                    no_image, URG_PIN_NO_IMAGE,
+                    "no_image threads={threads}: 0x{no_image:016x}"
+                );
+                let stream = CityStream::new(cfg.clone(), 13, 3);
+                let streamed =
+                    urg_hash(&ShardedUrg::from_stream(stream, UrgOptions::default()).into_urg());
+                assert_eq!(
+                    streamed, URG_PIN,
+                    "streamed threads={threads}: 0x{streamed:016x}"
+                );
+            });
+        }
+    });
 }
