@@ -691,15 +691,23 @@ impl ConvPoolStack {
     /// Run the stack on `x` (`n * in_len` values, one sample after
     /// another) into an `n × out_len` matrix.
     pub fn forward(&self, x: &[f32]) -> Matrix {
+        let mut out = Matrix::zeros(x.len() / self.in_len, self.out_len);
+        self.forward_into(x, out.as_mut_slice());
+        out
+    }
+
+    /// As [`ConvPoolStack::forward`], written into `out` (`n * out_len`
+    /// values, row-major) instead of a fresh matrix.
+    pub fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         let n = x.len() / self.in_len;
         assert_eq!(x.len(), n * self.in_len, "conv stack input length");
-        let mut out = Matrix::zeros(n, self.out_len);
+        assert_eq!(out.len(), n * self.out_len, "conv stack output length");
         // Resolved on the calling thread and handed to the workers.
         let is = crate::gemm::isa();
         let fm = crate::gemm::fast_math_active();
         let (in_len, out_len) = (self.in_len, self.out_len);
         let work = n * self.sample_work;
-        par::for_each_row_block(out.as_mut_slice(), out_len, work, |samples, chunk| {
+        par::for_each_row_block(out, out_len, work, |samples, chunk| {
             with_scratch(&STACK_SCRATCH, |buf| {
                 // Zero the whole scratch once: the padded borders are never
                 // written afterwards, the interiors are overwritten per sample.
@@ -716,7 +724,6 @@ impl ConvPoolStack {
                 }
             });
         });
-        out
     }
 
     fn forward_one(&self, is: Isa, fm: bool, sample: &[f32], buf: &mut [f32], out: &mut [f32]) {

@@ -66,6 +66,9 @@ pub struct PoiSpatialIndex {
     layers: Vec<PoiLayer>,
     /// Per region: POI count per top-level category.
     category_counts: Vec<[f32; PoiCategory::COUNT]>,
+    /// City-wide normalizer of the count features: the largest per-region
+    /// POI total, at least 1.
+    max_count: f32,
 }
 
 /// The POIs of one radius type or facility class, bucketed by region.
@@ -173,11 +176,17 @@ impl PoiSpatialIndex {
                 }
             })
             .collect();
+        let max_count = category_counts
+            .iter()
+            .map(|c| c.iter().sum::<f32>())
+            .fold(0.0f32, f32::max)
+            .max(1.0);
         PoiSpatialIndex {
             width,
             height,
             layers,
             category_counts,
+            max_count,
         }
     }
 
@@ -305,115 +314,98 @@ pub fn poi_features_with_index(
 
 /// Compute the POI feature rows for a contiguous region range against a
 /// prebuilt (full-city) spatial index. Each region's features depend only
-/// on the index and the global `max_count` normalizers, so a row block is
-/// bitwise identical to the same rows of the full matrix — the streaming
-/// shard builder relies on this, and it is also what makes the row loop
-/// safe to partition across threads (each worker writes disjoint rows from
-/// shared read-only state; no accumulation order exists to perturb).
+/// on the index (including its city-wide count normalizer), so a row block
+/// is bitwise identical to the same rows of the full matrix — the tile
+/// builder relies on this, and it is also what makes the row loop safe to
+/// partition across threads (each worker writes disjoint rows from shared
+/// read-only state; no accumulation order exists to perturb).
 pub fn poi_features_rows(
     index: &PoiSpatialIndex,
     opts: PoiFeatureOptions,
     regions: std::ops::Range<usize>,
 ) -> Matrix {
-    let (w, h) = (index.width, index.height);
-    let counts = index.category_counts();
-    let d = opts.dim();
-
-    // Global normalizers for the count features.
-    let max_count = counts
-        .iter()
-        .map(|c| c.iter().sum::<f32>())
-        .fold(0.0f32, f32::max)
-        .max(1.0);
-    let max_count_9 = max_count * 9.0;
-
-    let mut out = Matrix::zeros(regions.len(), d);
-    if d == 0 || regions.is_empty() {
-        return out;
-    }
-    let n_rows = regions.len();
-    let start = regions.start;
-    par::for_each_row_block(
-        out.as_mut_slice(),
-        d,
-        n_rows * POI_ROW_WORK,
-        |rows, chunk| {
-            for (ri, local) in rows.enumerate() {
-                let r = start + local;
-                let row = &mut chunk[ri * d..(ri + 1) * d];
-                poi_feature_row(index, opts, w, h, counts, max_count, max_count_9, r, row);
-            }
-        },
-    );
+    let mut out = Matrix::zeros(regions.len(), opts.dim());
+    poi_features_into(index, opts, regions.start, out.as_mut_slice());
     out
 }
 
-/// One region's feature row, written into `row` (length `opts.dim()`).
-#[allow(clippy::too_many_arguments)]
-fn poi_feature_row(
+/// As [`poi_features_rows`], written into `out`: the row-major feature
+/// rows of regions `start..start + out.len() / opts.dim()`.
+pub(crate) fn poi_features_into(
     index: &PoiSpatialIndex,
     opts: PoiFeatureOptions,
-    w: usize,
-    h: usize,
-    counts: &[[f32; PoiCategory::COUNT]],
-    max_count: f32,
-    max_count_9: f32,
-    r: usize,
-    row: &mut [f32],
+    start: usize,
+    out: &mut [f32],
 ) {
-    {
-        let mut col = 0usize;
-        if opts.cate {
-            // Region-level distribution + count.
-            let total: f32 = counts[r].iter().sum();
-            if total > 0.0 {
-                for (i, &c) in counts[r].iter().enumerate() {
-                    row[col + i] = c / total;
-                }
-            }
-            row[col + PoiCategory::COUNT] = (1.0 + total).ln() / (1.0 + max_count).ln();
-            col += PoiCategory::COUNT + 1;
+    let d = opts.dim();
+    if d == 0 || out.is_empty() {
+        return;
+    }
+    let n_rows = out.len() / d;
+    par::for_each_row_block(out, d, n_rows * POI_ROW_WORK, |rows, chunk| {
+        for (ri, local) in rows.enumerate() {
+            poi_feature_row(index, opts, start + local, &mut chunk[ri * d..(ri + 1) * d]);
+        }
+    });
+}
 
-            // 3×3 neighbourhood distribution + count.
-            let (cx, cy) = (r % w, r / w);
-            let mut nb = [0.0f32; PoiCategory::COUNT];
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    let (x, y) = (cx as i64 + dx, cy as i64 + dy);
-                    if x < 0 || y < 0 || x >= w as i64 || y >= h as i64 {
-                        continue;
-                    }
-                    let q = y as usize * w + x as usize;
-                    for (i, &c) in counts[q].iter().enumerate() {
-                        nb[i] += c;
-                    }
+/// One region's feature row, written into `row` (length `opts.dim()`).
+fn poi_feature_row(index: &PoiSpatialIndex, opts: PoiFeatureOptions, r: usize, row: &mut [f32]) {
+    let (w, h) = (index.width, index.height);
+    let counts = index.category_counts();
+    let max_count = index.max_count;
+    let max_count_9 = max_count * 9.0;
+    let mut col = 0usize;
+    if opts.cate {
+        // Region-level distribution + count.
+        let total: f32 = counts[r].iter().sum();
+        if total > 0.0 {
+            for (i, &c) in counts[r].iter().enumerate() {
+                row[col + i] = c / total;
+            }
+        }
+        row[col + PoiCategory::COUNT] = (1.0 + total).ln() / (1.0 + max_count).ln();
+        col += PoiCategory::COUNT + 1;
+
+        // 3×3 neighbourhood distribution + count.
+        let (cx, cy) = (r % w, r / w);
+        let mut nb = [0.0f32; PoiCategory::COUNT];
+        for dy in -1i64..=1 {
+            for dx in -1i64..=1 {
+                let (x, y) = (cx as i64 + dx, cy as i64 + dy);
+                if x < 0 || y < 0 || x >= w as i64 || y >= h as i64 {
+                    continue;
+                }
+                let q = y as usize * w + x as usize;
+                for (i, &c) in counts[q].iter().enumerate() {
+                    nb[i] += c;
                 }
             }
-            let nb_total: f32 = nb.iter().sum();
-            if nb_total > 0.0 {
-                for (i, &c) in nb.iter().enumerate() {
-                    row[col + i] = c / nb_total;
-                }
+        }
+        let nb_total: f32 = nb.iter().sum();
+        if nb_total > 0.0 {
+            for (i, &c) in nb.iter().enumerate() {
+                row[col + i] = c / nb_total;
             }
-            row[col + PoiCategory::COUNT] = (1.0 + nb_total).ln() / (1.0 + max_count_9).ln();
-            col += PoiCategory::COUNT + 1;
         }
-        if opts.radius {
-            for i in 0..RadiusType::COUNT {
-                let rt = radius_type_by_index(i);
-                let d = index.nearest_radius_poi(r, rt, 3000.0);
-                row[col + i] = radius_bucket(d) as f32 / 3.0;
-            }
-            col += RadiusType::COUNT;
+        row[col + PoiCategory::COUNT] = (1.0 + nb_total).ln() / (1.0 + max_count_9).ln();
+        col += PoiCategory::COUNT + 1;
+    }
+    if opts.radius {
+        for i in 0..RadiusType::COUNT {
+            let rt = radius_type_by_index(i);
+            let d = index.nearest_radius_poi(r, rt, 3000.0);
+            row[col + i] = radius_bucket(d) as f32 / 3.0;
         }
-        if opts.facility {
-            let all_within = (0..FacilityClass::COUNT).all(|i| {
-                index
-                    .nearest_facility(r, facility_class_by_index(i), 1000.0)
-                    .is_some()
-            });
-            row[col] = if all_within { 1.0 } else { 0.0 };
-        }
+        col += RadiusType::COUNT;
+    }
+    if opts.facility {
+        let all_within = (0..FacilityClass::COUNT).all(|i| {
+            index
+                .nearest_facility(r, facility_class_by_index(i), 1000.0)
+                .is_some()
+        });
+        row[col] = if all_within { 1.0 } else { 0.0 };
     }
 }
 

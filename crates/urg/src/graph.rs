@@ -1,15 +1,17 @@
-//! Assembly of the Urban Region Graph G(V, E, A, X) from a generated city:
-//! edge construction (spatial + road connectivity), POI and image feature
-//! matrices, and the sparse structures models consume.
+//! The Urban Region Graph G(V, E, A, X) the models consume: edge pairs,
+//! the directed edge index, the normalized adjacency, POI and image feature
+//! matrices and survey labels. [`Urg::build`] runs the one URG builder
+//! ([`crate::ShardedUrgBuilder`]) over a whole generated city as a single
+//! tile; the ablation, induced-subgraph and incremental-update views live
+//! here.
 
-use crate::edges::{merge_pairs, road_edges_from, spatial_edges_dims};
 use crate::features::{poi_features, PoiFeatureOptions};
-use crate::vgg::{standardize_columns, VggSim};
+use crate::shard::ShardedUrgBuilder;
 use serde_like::UrgStats;
 use std::sync::Arc;
-use uvd_citysim::{City, RoadNetwork, SurveyLabels, IMG_LEN};
+use uvd_citysim::{City, CityTile, IMG_LEN};
 use uvd_tensor::graph::CsrPair;
-use uvd_tensor::{Csr, EdgeIndex, Matrix};
+use uvd_tensor::{EdgeIndex, Matrix};
 
 /// Typed failure from [`Urg::update_poi`]: the incremental-update request
 /// path of the serving layer, where a bad region id or a wrong-width feature
@@ -138,100 +140,40 @@ pub struct Urg {
     pub y: Vec<f32>,
 }
 
-/// The URG topology, shared by the dense [`Urg::build`] and the streamed
-/// [`crate::ShardedUrgBuilder`]: unique undirected pairs from the enabled
-/// edge sources, the directed edge index (both directions plus self-loops)
-/// for attention neighbourhoods, and the symmetrically normalized `A + I`
-/// for GCN-style propagation. Needs only the grid and the road network, so
-/// the streamed build runs it before any imagery tile is rendered.
-pub(crate) fn topology(
-    w: usize,
-    h: usize,
-    roads: &RoadNetwork,
-    opts: UrgOptions,
-) -> (Vec<(u32, u32)>, Arc<EdgeIndex>, Arc<CsrPair>) {
-    let n = w * h;
-    let pairs = {
-        let _e = uvd_obs::span("urg.edges");
-        let mut lists = Vec::new();
-        if opts.spatial {
-            lists.push(spatial_edges_dims(w, h));
-        }
-        if opts.road {
-            lists.push(road_edges_from(roads, w, opts.road_hops));
-        }
-        merge_pairs(lists)
-    };
-    let _c = uvd_obs::span("urg.csr");
-    let mut directed: Vec<(u32, u32)> = Vec::with_capacity(pairs.len() * 2 + n);
-    let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(pairs.len() * 2 + n);
-    for &(a, b) in &pairs {
-        directed.push((a, b));
-        directed.push((b, a));
-        coo.push((a, b, 1.0));
-        coo.push((b, a, 1.0));
-    }
-    for i in 0..n as u32 {
-        directed.push((i, i));
-        coo.push((i, i, 1.0));
-    }
-    let edges = Arc::new(EdgeIndex::from_pairs(n, directed));
-    let adj_norm = CsrPair::new(Csr::from_coo(n, n, coo).sym_normalized());
-    (pairs, edges, adj_norm)
-}
-
-/// The survey's labeled regions (positives and negatives), sorted by
-/// region id, with the binary labels aligned (1 = urban village).
-pub(crate) fn labeled_rows(labels: &SurveyLabels) -> (Vec<u32>, Vec<f32>) {
-    let mut labeled: Vec<(u32, f32)> = labels
-        .uv_regions
-        .iter()
-        .map(|&r| (r, 1.0))
-        .chain(labels.non_uv_regions.iter().map(|&r| (r, 0.0)))
-        .collect();
-    labeled.sort_unstable_by_key(|&(r, _)| r);
-    labeled.into_iter().unzip()
-}
-
 impl Urg {
-    /// Build the URG from a city with the given options.
+    /// Build the URG from a city with the given options: the tile builder
+    /// over one whole-city tile. The imagery is cloned once, into that
+    /// tile, whose buffer then becomes `raw_images`.
     pub fn build(city: &City, opts: UrgOptions) -> Urg {
         let mut _s = uvd_obs::span("urg.build");
         let n = city.n_regions();
         _s.add_field("n_regions", n as f64);
-
-        let (pairs, edges, adj_norm) = topology(city.width, city.height, &city.roads, opts);
-        _s.add_field("n_edges", edges.n_edges() as f64);
-
-        let (x_poi, x_img, raw_images) = {
-            let _f = uvd_obs::span("urg.features");
-            let x_poi = poi_features(city, opts.poi);
-            let (x_img, raw_images) = if opts.image {
-                let raw = Matrix::from_vec(n, IMG_LEN, city.images.clone());
-                let feats = standardize_columns(&VggSim::new().features(&city.images));
-                (feats, Some(Arc::new(raw)))
+        let mut builder = ShardedUrgBuilder::from_parts(
+            &city.name,
+            city.width,
+            city.height,
+            &city.roads,
+            &city.pois,
+            opts,
+        );
+        let tile = CityTile {
+            row_start: 0,
+            n_rows: city.height,
+            region_start: 0,
+            n_regions: n,
+            images: if opts.image {
+                city.images.clone()
             } else {
-                (Matrix::zeros(n, 0), None)
-            };
-            (x_poi, x_img, raw_images)
+                Vec::new()
+            },
         };
-
-        let (labeled, y) = labeled_rows(&city.labels);
-
-        Urg {
-            name: city.name.clone(),
-            n,
-            width: city.width,
-            height: city.height,
-            pairs,
-            edges,
-            adj_norm,
-            x_poi,
-            x_img,
-            raw_images,
-            labeled,
-            y,
+        builder.add_tile(&tile);
+        let mut urg = builder.finish(&city.labels).into_urg();
+        _s.add_field("n_edges", urg.edges.n_edges() as f64);
+        if opts.image {
+            urg.raw_images = Some(Arc::new(Matrix::from_vec(n, IMG_LEN, tile.images)));
         }
+        urg
     }
 
     /// Build an ablation variant of the URG cheaply by reusing the
@@ -385,7 +327,7 @@ impl Urg {
 /// depend on serde).
 pub mod serde_like {
     /// Table I row, plus the per-shard breakdown when the URG was built
-    /// through the streaming shard path (empty for a dense build).
+    /// through the streaming tile path (empty for a dense build).
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct UrgStats {
         pub name: String,
@@ -393,9 +335,9 @@ pub mod serde_like {
         pub n_edges: usize,
         pub n_uvs: usize,
         pub n_non_uvs: usize,
-        /// Per-shard region/edge counts, computed from the shard blocks
-        /// without materializing a monolithic URG. Empty when the stats
-        /// come from a dense single-block build.
+        /// Per-shard region/edge counts, taken from the `adj_norm` rows in
+        /// each tile's range as it was folded. Empty when the stats come
+        /// from [`super::Urg::stats`].
         pub shards: Vec<ShardStats>,
     }
 
@@ -408,7 +350,8 @@ pub mod serde_like {
         pub n_local_edges: usize,
         /// Directed edges (excluding self-loops) crossing the boundary.
         pub n_halo_edges: usize,
-        /// Distinct external regions referenced by the shard's CSR block.
+        /// Distinct external regions referenced by the shard's `adj_norm`
+        /// rows.
         pub n_halo_regions: usize,
     }
 }

@@ -28,5 +28,5 @@ pub use graph::{
     serde_like::{ShardStats, UrgStats},
     UpdateError, Urg, UrgOptions,
 };
-pub use shard::{ShardedUrg, ShardedUrgBuilder, UrgShard};
-pub use vgg::{standardize_blocks, standardize_columns, VggSim, VGG_SIM_DIM};
+pub use shard::{ShardedUrg, ShardedUrgBuilder};
+pub use vgg::{standardize_columns, VggSim, VGG_SIM_DIM};

@@ -1,216 +1,221 @@
-//! Sharded, CSR-native Urban Region Graph built incrementally from city
-//! tiles (DESIGN.md §11).
+//! The Urban Region Graph builder (DESIGN.md §11): topology first, then
+//! one [`CityTile`] of imagery at a time, then labels.
 //!
-//! The monolithic [`Urg::build`] needs the whole [`City`] — including all
-//! imagery (`n × 3072` floats, ≈ 4.3 GB at Beijing scale) — resident at
-//! once. [`ShardedUrg`] instead consumes a [`CityStream`]: graph topology
-//! and the POI spatial index come from the cheap skeleton before any tile
-//! is rendered, then each imagery tile is folded into a per-shard feature
-//! block (POI rows + VGG-sim rows) and dropped. Peak memory is one tile of
-//! imagery plus the O(n) skeleton and feature blocks — never the full
-//! image tensor.
+//! [`ShardedUrgBuilder`] is the only URG builder. The dense
+//! [`Urg::build`] runs it over one whole-city tile; [`ShardedUrg`] drives
+//! it from a [`CityStream`], so a Beijing-scale city (≈ 4.3 GB of imagery)
+//! never holds more than one rendered tile. Topology (edges, normalized
+//! adjacency) and the POI spatial index come from the cheap skeleton
+//! before any tile is rendered. The city-wide `x_poi` and `x_img` matrices
+//! are allocated up front; each tile writes its POI rows and VGG-sim rows
+//! straight into them and is dropped. `finish` standardizes `x_img` in
+//! place and attaches the labels, so [`ShardedUrg::into_urg`] is a move.
 //!
-//! Each shard owns its row block of the normalized adjacency as a compact
-//! CSR (local rows × global columns) plus a **halo index**: the sorted
-//! external region ids its rows reference. A block spmm therefore needs
-//! only the shard's own feature rows plus a gather of its halo rows —
-//! the classic ghost-cell layout, shaped by the row-block partition the
-//! tile stream produces naturally.
+//! A shard — the row range of one tile — keeps only its [`ShardStats`]
+//! counts, taken from the `adj_norm` rows in its range when it is folded.
 //!
-//! Equivalence contract: [`ShardedUrg::into_urg`] is bitwise identical to
+//! Tile height never changes a bit of the result: POI rows are per-region
+//! pure functions of the shared index, VGG rows are per-region pure
+//! functions of the tile pixels, and standardization runs once over the
+//! whole `x_img` after the last tile. So the streamed build equals
 //! `Urg::build(&stream.collect_city(), opts)` in every field except
-//! `raw_images` (kept `None` — pixel-space baselines need the monolithic
-//! path). Topology and labels come from the functions the dense build
-//! uses (`graph::topology`, `graph::labeled_rows`), POI rows are
-//! per-region pure functions of the shared index, VGG rows are per-region
-//! pure functions of the tile pixels, and standardization uses
-//! [`standardize_blocks`], which runs the monolithic `f64` accumulator
-//! chain over the blocks in row order.
+//! `raw_images` (kept `None`: pixel-space baselines need the whole city).
 
-use crate::features::{poi_features_rows, PoiSpatialIndex};
+use crate::edges::{merge_pairs, road_edges_from, spatial_edges_dims};
+use crate::features::{poi_features_into, PoiFeatureOptions, PoiSpatialIndex};
 use crate::graph::serde_like::{ShardStats, UrgStats};
-use crate::graph::{labeled_rows, topology, Urg, UrgOptions};
-use crate::vgg::{standardize_blocks, VggSim};
+use crate::graph::{Urg, UrgOptions};
+use crate::vgg::{standardize_columns, VggSim, VGG_SIM_DIM};
 use std::sync::Arc;
-use uvd_citysim::{CityStream, CityTile, SurveyLabels};
+use uvd_citysim::{CityStream, CityTile, Poi, RoadNetwork, SurveyLabels};
 use uvd_tensor::graph::CsrPair;
 use uvd_tensor::{fastmath, par, Csr, EdgeIndex, Matrix};
 
-/// One region-block shard: a contiguous row range of the URG with its
-/// feature rows and its CSR row block of the normalized adjacency.
-pub struct UrgShard {
-    /// First region id in this shard.
-    pub region_start: usize,
-    /// Number of regions in this shard.
-    pub n_regions: usize,
-    /// Row block of the symmetrically normalized `A + I`: local rows,
-    /// global columns, values identical to the full matrix's rows.
-    pub adj_rows: Csr,
-    /// Sorted external region ids referenced by `adj_rows` (ghost cells).
-    pub halo: Vec<u32>,
-    /// Directed edges (excluding self-loops) internal to this shard.
-    pub n_local_edges: usize,
-    /// Directed edges (excluding self-loops) crossing the shard boundary.
-    pub n_halo_edges: usize,
-    /// POI feature rows (`n_regions × d_poi`).
-    pub x_poi: Matrix,
-    /// Image feature rows (`n_regions × 256`), standardized at `finish`;
-    /// `n_regions × 0` when the image modality is ablated.
-    pub x_img: Matrix,
-}
-
-/// CSR-native shard-by-region-block URG, built incrementally from tiles.
+/// A built URG with the per-shard statistics of the tiles it was built
+/// from.
 pub struct ShardedUrg {
-    pub name: String,
-    pub n: usize,
-    pub width: usize,
-    pub height: usize,
-    /// Undirected unique edge pairs, as in [`Urg::pairs`].
-    pub pairs: Vec<(u32, u32)>,
-    /// Global directed edge index (both directions + self-loops).
-    pub edges: Arc<EdgeIndex>,
-    /// Global normalized adjacency — shared topology; the per-shard
-    /// `adj_rows` blocks are row slices of this matrix.
-    pub adj_norm: Arc<CsrPair>,
-    pub shards: Vec<UrgShard>,
-    /// Labeled region ids, sorted, with labels aligned in `y`.
-    pub labeled: Vec<u32>,
-    pub y: Vec<f32>,
+    urg: Urg,
+    shards: Vec<ShardStats>,
 }
 
 /// Incremental constructor: skeleton first, then one [`CityTile`] at a
-/// time, then labels. Obtainable only through [`ShardedUrgBuilder::from_skeleton`].
+/// time, then labels. Obtainable only through [`ShardedUrgBuilder::from_skeleton`]
+/// (or, for the dense build, from a whole city's parts).
 pub struct ShardedUrgBuilder {
-    name: String,
-    n: usize,
-    width: usize,
-    height: usize,
-    opts: UrgOptions,
-    pairs: Vec<(u32, u32)>,
-    edges: Arc<EdgeIndex>,
-    adj_norm: Arc<CsrPair>,
+    poi: PoiFeatureOptions,
     poi_index: PoiSpatialIndex,
     vgg: Option<VggSim>,
-    shards: Vec<UrgShard>,
+    /// Topology and preallocated feature matrices; labels come at `finish`.
+    urg: Urg,
+    shards: Vec<ShardStats>,
     next_region: usize,
+}
+
+/// The URG topology: unique undirected pairs from the enabled edge
+/// sources, the directed edge index (both directions plus self-loops) for
+/// attention neighbourhoods, and the symmetrically normalized `A + I` for
+/// GCN-style propagation. Needs only the grid and the road network, so the
+/// streamed build runs it before any imagery tile is rendered.
+fn topology(
+    w: usize,
+    h: usize,
+    roads: &RoadNetwork,
+    opts: UrgOptions,
+) -> (Vec<(u32, u32)>, Arc<EdgeIndex>, Arc<CsrPair>) {
+    let n = w * h;
+    let pairs = {
+        let _e = uvd_obs::span("urg.edges");
+        let mut lists = Vec::new();
+        if opts.spatial {
+            lists.push(spatial_edges_dims(w, h));
+        }
+        if opts.road {
+            lists.push(road_edges_from(roads, w, opts.road_hops));
+        }
+        merge_pairs(lists)
+    };
+    let _c = uvd_obs::span("urg.csr");
+    let mut directed: Vec<(u32, u32)> = Vec::with_capacity(pairs.len() * 2 + n);
+    let mut coo: Vec<(u32, u32, f32)> = Vec::with_capacity(pairs.len() * 2 + n);
+    for &(a, b) in &pairs {
+        directed.push((a, b));
+        directed.push((b, a));
+        coo.push((a, b, 1.0));
+        coo.push((b, a, 1.0));
+    }
+    for i in 0..n as u32 {
+        directed.push((i, i));
+        coo.push((i, i, 1.0));
+    }
+    let edges = Arc::new(EdgeIndex::from_pairs(n, directed));
+    let adj_norm = CsrPair::new(Csr::from_coo(n, n, coo).sym_normalized());
+    (pairs, edges, adj_norm)
+}
+
+/// The survey's labeled regions (positives and negatives), sorted by
+/// region id, with the binary labels aligned (1 = urban village).
+fn labeled_rows(labels: &SurveyLabels) -> (Vec<u32>, Vec<f32>) {
+    let mut labeled: Vec<(u32, f32)> = labels
+        .uv_regions
+        .iter()
+        .map(|&r| (r, 1.0))
+        .chain(labels.non_uv_regions.iter().map(|&r| (r, 0.0)))
+        .collect();
+    labeled.sort_unstable_by_key(|&(r, _)| r);
+    labeled.into_iter().unzip()
 }
 
 impl ShardedUrgBuilder {
     /// Build topology and the POI index from the stream's skeleton (land
     /// use, POIs, roads) — no tile needs to have been rendered yet.
     pub fn from_skeleton(stream: &CityStream, opts: UrgOptions) -> ShardedUrgBuilder {
-        let (w, h) = (stream.width(), stream.height());
-        let n = w * h;
-        let (pairs, edges, adj_norm) = topology(w, h, stream.roads(), opts);
-        let poi_index = PoiSpatialIndex::from_parts(w, h, stream.pois());
-
-        ShardedUrgBuilder {
-            name: stream.name().to_string(),
-            n,
-            width: w,
-            height: h,
+        Self::from_parts(
+            stream.name(),
+            stream.width(),
+            stream.height(),
+            stream.roads(),
+            stream.pois(),
             opts,
-            pairs,
-            edges,
-            adj_norm,
-            poi_index,
-            vgg: if opts.image {
-                Some(VggSim::new())
-            } else {
-                None
+        )
+    }
+
+    /// Build topology and the POI index from a `w × h` city's name, roads
+    /// and POIs, and allocate the city-wide feature matrices.
+    pub(crate) fn from_parts(
+        name: &str,
+        w: usize,
+        h: usize,
+        roads: &RoadNetwork,
+        pois: &[Poi],
+        opts: UrgOptions,
+    ) -> ShardedUrgBuilder {
+        let n = w * h;
+        let (pairs, edges, adj_norm) = topology(w, h, roads, opts);
+        ShardedUrgBuilder {
+            poi: opts.poi,
+            poi_index: PoiSpatialIndex::from_parts(w, h, pois),
+            vgg: opts.image.then(VggSim::new),
+            urg: Urg {
+                name: name.to_string(),
+                n,
+                width: w,
+                height: h,
+                pairs,
+                edges,
+                adj_norm,
+                x_poi: Matrix::zeros(n, opts.poi.dim()),
+                x_img: Matrix::zeros(n, if opts.image { VGG_SIM_DIM } else { 0 }),
+                raw_images: None,
+                labeled: Vec::new(),
+                y: Vec::new(),
             },
             shards: Vec::new(),
             next_region: 0,
         }
     }
 
-    /// Fold one tile into a shard: POI feature rows, VGG-sim image rows
+    /// Fold one tile: write its POI feature rows and VGG-sim image rows
     /// (parallel over regions, bitwise thread-count invariant — each row is
-    /// an independent pure function of its pixels), and the adjacency row
-    /// block with its halo. The tile's imagery is released by the caller
-    /// when the tile drops.
+    /// an independent pure function of the index or its pixels) into the
+    /// city-wide matrices, and count its shard statistics. The tile's
+    /// imagery is released by the caller when the tile drops.
     pub fn add_tile(&mut self, tile: &CityTile) {
         assert_eq!(
             tile.region_start, self.next_region,
             "tiles must arrive in order"
         );
-        self.next_region += tile.n_regions;
         let lo = tile.region_start;
         let hi = lo + tile.n_regions;
+        self.next_region = hi;
 
         let _f = uvd_obs::span("urg.features");
-        let x_poi = poi_features_rows(&self.poi_index, self.opts.poi, lo..hi);
-        let x_img = match &self.vgg {
-            Some(vgg) => vgg.features(&tile.images),
-            None => Matrix::zeros(tile.n_regions, 0),
-        };
+        let d_poi = self.urg.x_poi.cols();
+        let poi_rows = &mut self.urg.x_poi.as_mut_slice()[lo * d_poi..hi * d_poi];
+        poi_features_into(&self.poi_index, self.poi, lo, poi_rows);
+        if let Some(vgg) = &self.vgg {
+            let img_rows = &mut self.urg.x_img.as_mut_slice()[lo * VGG_SIM_DIM..hi * VGG_SIM_DIM];
+            vgg.features_into(&tile.images, img_rows);
+        }
         drop(_f);
 
-        let rows: Vec<u32> = (lo as u32..hi as u32).collect();
-        let adj_rows = self.adj_norm.fwd.gather_rows(&rows);
         let mut halo: Vec<u32> = Vec::new();
-        let (mut n_local, mut n_halo) = (0usize, 0usize);
-        for r in 0..tile.n_regions {
-            for (c, _) in adj_rows.row_iter(r) {
-                let c = c as usize;
-                if c == lo + r {
+        let mut n_local_edges = 0;
+        for r in lo..hi {
+            for (c, _) in self.urg.adj_norm.fwd.row_iter(r) {
+                if c as usize == r {
                     continue; // self-loop
                 }
-                if (lo..hi).contains(&c) {
-                    n_local += 1;
+                if (lo..hi).contains(&(c as usize)) {
+                    n_local_edges += 1;
                 } else {
-                    n_halo += 1;
-                    halo.push(c as u32);
+                    halo.push(c);
                 }
             }
         }
+        let n_halo_edges = halo.len();
         halo.sort_unstable();
         halo.dedup();
-
-        self.shards.push(UrgShard {
+        self.shards.push(ShardStats {
             region_start: lo,
             n_regions: tile.n_regions,
-            adj_rows,
-            halo,
-            n_local_edges: n_local,
-            n_halo_edges: n_halo,
-            x_poi,
-            x_img,
+            n_local_edges,
+            n_halo_edges,
+            n_halo_regions: halo.len(),
         });
     }
 
-    /// Standardize the image-feature blocks (bitwise equal to monolithic
-    /// [`crate::vgg::standardize_columns`]) and attach the labels.
+    /// Standardize the image features in place and attach the labels.
     pub fn finish(mut self, labels: &SurveyLabels) -> ShardedUrg {
         assert_eq!(
-            self.next_region, self.n,
+            self.next_region, self.urg.n,
             "finish() before every tile was added ({}/{} regions)",
-            self.next_region, self.n
+            self.next_region, self.urg.n
         );
-        if self.opts.image {
-            let mut blocks: Vec<Matrix> = self
-                .shards
-                .iter_mut()
-                .map(|s| std::mem::replace(&mut s.x_img, Matrix::zeros(0, 0)))
-                .collect();
-            standardize_blocks(&mut blocks);
-            for (s, b) in self.shards.iter_mut().zip(blocks) {
-                s.x_img = b;
-            }
-        }
-        let (labeled, y) = labeled_rows(labels);
-
+        standardize_columns(&mut self.urg.x_img);
+        (self.urg.labeled, self.urg.y) = labeled_rows(labels);
         ShardedUrg {
-            name: self.name,
-            n: self.n,
-            width: self.width,
-            height: self.height,
-            pairs: self.pairs,
-            edges: self.edges,
-            adj_norm: self.adj_norm,
+            urg: self.urg,
             shards: self.shards,
-            labeled,
-            y,
         }
     }
 }
@@ -264,8 +269,8 @@ impl ShardedUrg {
         }
         let labels = stream.finish();
         let sharded = builder.finish(&labels);
-        _s.add_field("n_regions", sharded.n as f64);
-        _s.add_field("n_edges", sharded.edges.n_edges() as f64);
+        _s.add_field("n_regions", sharded.urg.n as f64);
+        _s.add_field("n_edges", sharded.urg.edges.n_edges() as f64);
         _s.add_field("n_shards", sharded.shards.len() as f64);
         sharded
     }
@@ -274,109 +279,18 @@ impl ShardedUrg {
         self.shards.len()
     }
 
-    /// POI feature dimensionality.
-    pub fn poi_dim(&self) -> usize {
-        self.shards.first().map(|s| s.x_poi.cols()).unwrap_or(0)
-    }
-
-    /// Image feature dimensionality (0 when ablated).
-    pub fn img_dim(&self) -> usize {
-        self.shards.first().map(|s| s.x_img.cols()).unwrap_or(0)
-    }
-
-    /// Locate the shard owning a region id.
-    fn shard_of(&self, region: usize) -> &UrgShard {
-        let i = self
-            .shards
-            .partition_point(|s| s.region_start + s.n_regions <= region);
-        let s = &self.shards[i];
-        debug_assert!((s.region_start..s.region_start + s.n_regions).contains(&region));
-        s
-    }
-
-    /// Gather POI feature rows for arbitrary region ids across shards.
-    pub fn gather_poi_rows(&self, nodes: &[u32]) -> Matrix {
-        self.gather(nodes, |s| &s.x_poi)
-    }
-
-    /// Gather image feature rows for arbitrary region ids across shards.
-    pub fn gather_img_rows(&self, nodes: &[u32]) -> Matrix {
-        self.gather(nodes, |s| &s.x_img)
-    }
-
-    fn gather<'a>(&'a self, nodes: &[u32], block: impl Fn(&'a UrgShard) -> &'a Matrix) -> Matrix {
-        let d = block(self.shard_of(0)).cols();
-        let mut out = Matrix::zeros(nodes.len(), d);
-        for (i, &r) in nodes.iter().enumerate() {
-            let s = self.shard_of(r as usize);
-            out.row_mut(i)
-                .copy_from_slice(block(s).row(r as usize - s.region_start));
-        }
-        out
-    }
-
-    /// Table I statistics plus per-shard region/edge breakdown — computed
-    /// from the shard blocks directly, never materializing a monolithic
-    /// [`Urg`].
+    /// Table I statistics plus the per-shard region/edge breakdown.
     pub fn stats(&self) -> UrgStats {
         UrgStats {
-            name: self.name.clone(),
-            n_regions: self.n,
-            n_edges: self.pairs.len() * 2,
-            n_uvs: self.y.iter().filter(|&&v| v > 0.5).count(),
-            n_non_uvs: self.y.iter().filter(|&&v| v <= 0.5).count(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardStats {
-                    region_start: s.region_start,
-                    n_regions: s.n_regions,
-                    n_local_edges: s.n_local_edges,
-                    n_halo_edges: s.n_halo_edges,
-                    n_halo_regions: s.halo.len(),
-                })
-                .collect(),
+            shards: self.shards.clone(),
+            ..self.urg.stats()
         }
     }
 
-    /// Materialize a monolithic [`Urg`] by concatenating the shard feature
-    /// blocks. Bitwise identical to `Urg::build` on the equivalent city in
-    /// every field except `raw_images` (left `None`); never touches the
-    /// imagery. Each shard's feature blocks are freed right after they are
-    /// copied into the concatenated matrices, so peak memory stays at ~1×
-    /// the feature footprint (the ~450 MB matrices at Beijing scale). This
-    /// is how the scaling harness hands a streamed build to the trainer.
-    pub fn into_urg(mut self) -> Urg {
-        let poi_d = self.poi_dim();
-        let img_d = self.img_dim();
-        let mut x_poi = Matrix::zeros(self.n, poi_d);
-        let mut x_img = Matrix::zeros(self.n, img_d);
-        for s in &mut self.shards {
-            for r in 0..s.n_regions {
-                x_poi
-                    .row_mut(s.region_start + r)
-                    .copy_from_slice(s.x_poi.row(r));
-                x_img
-                    .row_mut(s.region_start + r)
-                    .copy_from_slice(s.x_img.row(r));
-            }
-            s.x_poi = Matrix::zeros(0, 0);
-            s.x_img = Matrix::zeros(0, 0);
-        }
-        Urg {
-            name: self.name,
-            n: self.n,
-            width: self.width,
-            height: self.height,
-            pairs: self.pairs,
-            edges: self.edges,
-            adj_norm: self.adj_norm,
-            x_poi,
-            x_img,
-            raw_images: None,
-            labeled: self.labeled,
-            y: self.y,
-        }
+    /// The built [`Urg`] (`raw_images` left `None`; the streamed imagery is
+    /// gone). A move: the feature matrices were written in place.
+    pub fn into_urg(self) -> Urg {
+        self.urg
     }
 }
 
@@ -417,7 +331,7 @@ mod tests {
         let sharded = streamed(1, 4, UrgOptions::default());
         assert_eq!(sharded.n_shards(), 5); // ceil(18 / 4)
         let covered: usize = sharded.shards.iter().map(|s| s.n_regions).sum();
-        assert_eq!(covered, sharded.n);
+        assert_eq!(covered, sharded.urg.n);
         // Shards are contiguous and ordered.
         let mut next = 0usize;
         for s in &sharded.shards {
@@ -427,19 +341,32 @@ mod tests {
     }
 
     #[test]
-    fn halo_index_is_exactly_the_external_columns() {
-        let sharded = streamed(2, 6, UrgOptions::default());
-        for s in &sharded.shards {
-            let range = s.region_start..s.region_start + s.n_regions;
-            let mut expect: Vec<u32> = (0..s.n_regions)
-                .flat_map(|r| s.adj_rows.row_iter(r).map(|(c, _)| c))
-                .filter(|&c| !range.contains(&(c as usize)))
-                .collect();
-            expect.sort_unstable();
-            expect.dedup();
-            assert_eq!(s.halo, expect);
-            // Row-block partition ⇒ halo never includes owned regions.
-            assert!(s.halo.iter().all(|&c| !range.contains(&(c as usize))));
+    fn shard_stats_count_the_adjacency_rows_in_range() {
+        use std::collections::HashSet;
+        for tile_rows in [3, 7] {
+            let sharded = streamed(2, tile_rows, UrgOptions::default());
+            let stats = sharded.stats();
+            let urg = sharded.into_urg();
+            for s in &stats.shards {
+                let range = s.region_start..s.region_start + s.n_regions;
+                let (mut local, mut halo) = (0, 0);
+                let mut halo_regions = HashSet::new();
+                for r in range.clone() {
+                    for (c, _) in urg.adj_norm.fwd.row_iter(r) {
+                        let c = c as usize;
+                        if c != r && range.contains(&c) {
+                            local += 1;
+                        } else if !range.contains(&c) {
+                            halo += 1;
+                            halo_regions.insert(c);
+                        }
+                    }
+                }
+                let at = format!("tile_rows={tile_rows} shard at {}", s.region_start);
+                assert_eq!(s.n_local_edges, local, "{at}: local edges");
+                assert_eq!(s.n_halo_edges, halo, "{at}: halo edges");
+                assert_eq!(s.n_halo_regions, halo_regions.len(), "{at}: halo regions");
+            }
         }
     }
 
@@ -461,7 +388,7 @@ mod tests {
             .map(|s| s.n_local_edges + s.n_halo_edges)
             .sum();
         assert_eq!(directed, stats.n_edges);
-        // The monolithic stats agree on the Table I fields.
+        // The dense stats agree on the Table I fields.
         let mono = sharded.into_urg().stats();
         assert_eq!(stats.name, mono.name);
         assert_eq!(stats.n_regions, mono.n_regions);
@@ -469,19 +396,6 @@ mod tests {
         assert_eq!(stats.n_uvs, mono.n_uvs);
         assert_eq!(stats.n_non_uvs, mono.n_non_uvs);
         assert!(mono.shards.is_empty(), "dense build reports no shards");
-    }
-
-    #[test]
-    fn gather_rows_match_concatenated_features() {
-        let sharded = streamed(4, 3, UrgOptions::default());
-        let urg = streamed(4, 3, UrgOptions::default()).into_urg();
-        let nodes: Vec<u32> = vec![0, 17, 18, 100, (sharded.n - 1) as u32];
-        let poi = sharded.gather_poi_rows(&nodes);
-        let img = sharded.gather_img_rows(&nodes);
-        for (i, &r) in nodes.iter().enumerate() {
-            assert_eq!(poi.row(i), urg.x_poi.row(r as usize));
-            assert_eq!(img.row(i), urg.x_img.row(r as usize));
-        }
     }
 
     #[test]
@@ -494,8 +408,8 @@ mod tests {
 
     #[test]
     fn image_ablation_streams_without_vgg() {
-        let sharded = streamed(6, 5, UrgOptions::no_image());
-        assert_eq!(sharded.img_dim(), 0);
-        assert_eq!(sharded.into_urg().x_img.cols(), 0);
+        let urg = streamed(6, 5, UrgOptions::no_image()).into_urg();
+        assert_eq!(urg.x_img.shape(), (urg.n, 0));
+        assert!(urg.raw_images.is_none());
     }
 }

@@ -66,21 +66,26 @@ impl VggSim {
     pub fn features(&self, images: &[f32]) -> Matrix {
         self.stack.forward(images)
     }
+
+    /// As [`VggSim::features`], written into `out` (`n * 256` values,
+    /// row-major): the tile builder's rows of the city-wide matrix.
+    pub fn features_into(&self, images: &[f32], out: &mut [f32]) {
+        self.stack.forward_into(images, out)
+    }
 }
 
-/// Standardize each column to zero mean / unit variance (columns with zero
-/// variance are left at zero). Returns the standardized matrix.
+/// Standardize each column of `x` in place to zero mean / unit variance
+/// (columns with zero variance are set to zero).
 ///
 /// Parallel in two phases, both bitwise-invariant under chunking: the
 /// per-column mean/variance chains are independent `f64` accumulations over
 /// rows in ascending order (columns are partitioned across threads, each
 /// column's chain runs whole on one worker), and the apply phase is
 /// element-independent (rows partitioned across threads).
-pub fn standardize_columns(x: &Matrix) -> Matrix {
+pub fn standardize_columns(x: &mut Matrix) {
     let (n, d) = x.shape();
-    let stats = column_stats(d, n, |r, c| x.get(r, c));
-    let mut out = x.clone();
-    par::for_each_row_block(out.as_mut_slice(), d.max(1), 2 * n * d, |rows, chunk| {
+    let stats = column_stats(x);
+    par::for_each_row_block(x.as_mut_slice(), d.max(1), 2 * n * d, |rows, chunk| {
         for (ri, _r) in rows.enumerate() {
             let row = &mut chunk[ri * d..(ri + 1) * d];
             for (v, &(mean, std)) in row.iter_mut().zip(&stats) {
@@ -92,25 +97,25 @@ pub fn standardize_columns(x: &Matrix) -> Matrix {
             }
         }
     });
-    out
 }
 
-/// Per-column `(mean, std)` over a logical `n × d` matrix addressed by
-/// `get(r, c)`, columns partitioned across threads. Each column runs the
-/// exact serial accumulator chain (`f64` mean pass, then variance pass, rows
-/// ascending), so the stats are bitwise those of the serial loop.
-fn column_stats(d: usize, n: usize, get: impl Fn(usize, usize) -> f32 + Sync) -> Vec<(f64, f64)> {
+/// Per-column `(mean, std)` of `x`, columns partitioned across threads.
+/// Each column runs the exact serial accumulator chain (`f64` mean pass,
+/// then variance pass, rows ascending), so the stats are bitwise those of
+/// the serial loop.
+fn column_stats(x: &Matrix) -> Vec<(f64, f64)> {
+    let (n, d) = x.shape();
     par::map_chunks(d, 2 * n * d, |c_range| {
         c_range
             .map(|c| {
                 let mut mean = 0.0f64;
                 for r in 0..n {
-                    mean += get(r, c) as f64;
+                    mean += x.get(r, c) as f64;
                 }
                 mean /= n.max(1) as f64;
                 let mut var = 0.0f64;
                 for r in 0..n {
-                    let v = get(r, c) as f64 - mean;
+                    let v = x.get(r, c) as f64 - mean;
                     var += v * v;
                 }
                 var /= n.max(1) as f64;
@@ -121,68 +126,6 @@ fn column_stats(d: usize, n: usize, get: impl Fn(usize, usize) -> f32 + Sync) ->
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// In-place, block-sharded variant of [`standardize_columns`]: the row sets
-/// of `blocks`, concatenated in order, form the full matrix. Per column the
-/// mean/variance accumulate over blocks in order with the same `f64`
-/// accumulator chain as the monolithic function, so the result is **bitwise
-/// equal** to standardizing the concatenation — the property that lets the
-/// streaming URG builder standardize per-shard image features without ever
-/// materializing one `n × 256` matrix copy.
-pub fn standardize_blocks(blocks: &mut [Matrix]) {
-    let d = blocks.first().map(|b| b.cols()).unwrap_or(0);
-    let n: usize = blocks.iter().map(|b| b.rows()).sum();
-    for b in blocks.iter() {
-        assert_eq!(b.cols(), d, "ragged block widths");
-    }
-    // Same two parallel phases as [`standardize_columns`]; the per-column
-    // chains walk blocks in order, i.e. rows of the concatenation in
-    // ascending order — the bitwise-equality contract with the monolithic
-    // function is preserved at any thread count.
-    let stats = {
-        let blocks = &*blocks;
-        par::map_chunks(d, 2 * n * d.max(1), |c_range| {
-            c_range
-                .map(|c| {
-                    let mut mean = 0.0f64;
-                    for b in blocks.iter() {
-                        for r in 0..b.rows() {
-                            mean += b.get(r, c) as f64;
-                        }
-                    }
-                    mean /= n.max(1) as f64;
-                    let mut var = 0.0f64;
-                    for b in blocks.iter() {
-                        for r in 0..b.rows() {
-                            let v = b.get(r, c) as f64 - mean;
-                            var += v * v;
-                        }
-                    }
-                    var /= n.max(1) as f64;
-                    (mean, var.sqrt())
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect::<Vec<_>>()
-    };
-    for b in blocks.iter_mut() {
-        let rows = b.rows();
-        par::for_each_row_block(b.as_mut_slice(), d.max(1), 2 * rows * d, |rows, chunk| {
-            for (ri, _r) in rows.enumerate() {
-                let row = &mut chunk[ri * d..(ri + 1) * d];
-                for (v, &(mean, std)) in row.iter_mut().zip(&stats) {
-                    *v = if std > 1e-9 {
-                        ((*v as f64 - mean) / std) as f32
-                    } else {
-                        0.0
-                    };
-                }
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +205,8 @@ mod tests {
     #[test]
     fn standardize_columns_zero_mean_unit_var() {
         let x = Matrix::from_rows(&[&[1.0, 5.0], &[3.0, 5.0], &[5.0, 5.0]]);
-        let s = standardize_columns(&x);
+        let mut s = x;
+        standardize_columns(&mut s);
         let mean0: f32 = (0..3).map(|r| s.get(r, 0)).sum::<f32>() / 3.0;
         assert!(mean0.abs() < 1e-5);
         let var0: f32 = (0..3).map(|r| s.get(r, 0).powi(2)).sum::<f32>() / 3.0;

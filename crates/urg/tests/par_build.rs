@@ -7,6 +7,10 @@
 //! These properties pin that contract over irregular city sizes and thread
 //! counts, and re-pin the streamed `ShardedUrg` equivalence now that the
 //! tile render/fold loop is pipelined across threads.
+//!
+//! Dense and streamed builds run the same tile builder, so their agreement
+//! alone no longer tests the features. `urg_build_is_pinned` holds both to
+//! FNV-1a constants recorded from the earlier, separate dense builder.
 
 use proptest::prelude::*;
 use uvd_citysim::{City, CityConfig, CityPreset, CityStream};

@@ -1,8 +1,8 @@
 //! Regression test for per-shard statistics of a streamed 50k-region build.
 //!
 //! `ShardedUrg::stats` must report the full Table-I numbers *plus* the
-//! per-shard breakdown without ever materializing a monolithic [`Urg`] —
-//! this is the accounting the scaling harness and the check.sh smoke gate
+//! per-shard breakdown each tile counted from its `adj_norm` rows as it was
+//! folded — the accounting the scaling harness and the check.sh smoke gate
 //! rely on. The city here is the 224x224 member of the scaling family used
 //! by `crates/bench/src/bin/scaling.rs` (same generator seed), built
 //! without imagery so the test stays fast in debug mode; edge topology and
@@ -82,8 +82,7 @@ fn streamed_50k_stats_regression() {
         assert!(s.n_halo_regions < s.n_regions);
     }
 
-    // Stats came from the shard blocks — nothing was concatenated. Guard
-    // the claim structurally: the sharded form still answers per-shard
-    // queries afterwards (stats() did not consume or mutate it).
+    // The shard statistics were counted as the tiles were folded; stats()
+    // only reads them and leaves the build intact for `into_urg`.
     assert_eq!(sharded.n_shards(), stats.shards.len());
 }

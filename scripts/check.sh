@@ -40,15 +40,17 @@ UVD_FAST_MATH=1 cargo test -p uvd-tensor --release --test fastmath_tiers -q
 # workers and the prefetch producer thread, not only the calling thread.
 UVD_FAST_MATH=1 cargo test -p cmsf --release --test fit_golden -q
 UVD_FAST_MATH=1 cargo test -p uvd-bench --release --test img_golden -q
+UVD_FAST_MATH=1 cargo test -p uvd-urg --release --test par_build -q
 # The fused GAT edge-attention op and the seven-node chain it replaced
 # share the tiered score projections, so they must agree bitwise on the
 # FMA tier too (the ISA tiers are covered in the loop below).
 UVD_FAST_MATH=1 cargo test -p uvd-tensor --release --test edge_attention_differential -q
-# Build-path determinism gate in release mode: the parallel URG build
-# (dense, and streamed through the pipelined render/fold path) must be
-# bitwise identical to the serial build at every swept thread count.
-# Release matters here: debug builds never hit the vectorized kernels the
-# parallel feature extraction dispatches to.
+# Build-path determinism gate in release mode: the one URG builder, run
+# dense (one whole-city tile) and streamed (pipelined render/fold), must be
+# bitwise identical to the serial build at every swept thread count and
+# hash to the constants recorded before the dense path became a one-tile
+# stream. Release matters here: debug builds never hit the vectorized
+# kernels the parallel feature extraction dispatches to.
 cargo test -p uvd-urg --release --test par_build -q
 # ISA-tier gate: the direct conv stack against the packed-GEMM conv path,
 # the fused edge-attention op against its seven-node chain, the URG build,
