@@ -7,13 +7,6 @@
 //! speedups to `BENCH_tensor.json` at the repository root. Both the
 //! requested and the effective worker counts are recorded in the snapshot.
 //!
-//! Dense kernels are additionally timed on the fast-math tier
-//! (`UVD_FAST_MATH`, scoped here via `fastmath::with_fast_math` so the
-//! snapshot is self-contained either way): the `fast` column next to each
-//! deterministic serial time shows what the FMA microkernels buy on this
-//! host. The snapshot header records the process's `UVD_FAST_MATH` state so
-//! a committed file says which tier produced its *default* columns.
-//!
 //! `--threads 1,2,4` sweeps the parallel column over the listed worker
 //! counts instead of the single effective count (each entry still clamps to
 //! the host); the speedup column then compares against the largest count.
@@ -34,7 +27,7 @@ use uvd_bench::{repo_root_path, scale_city};
 use uvd_citysim::{City, CityPreset, CityStream};
 use uvd_obs::alloc::CountingAlloc;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
-use uvd_tensor::{fastmath, par, Adam, Csr, EdgeIndex, Graph};
+use uvd_tensor::{par, Adam, Csr, EdgeIndex, Graph};
 use uvd_urg::{ShardedUrg, Urg, UrgOptions};
 
 /// Counting allocator so the snapshot header can report the process's peak
@@ -60,9 +53,6 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 struct Pair {
     name: &'static str,
     serial_ms: f64,
-    /// Serial time on the fast-math (FMA) tier; `None` for kernels with no
-    /// dense inner product to fuse (their two tiers are the same code).
-    fast_serial_ms: Option<f64>,
     /// Parallel time at each swept worker count, ascending.
     sweep: Vec<(usize, f64)>,
     /// Scalar flops of one run, when the kernel has a closed-form count
@@ -81,35 +71,20 @@ fn pair(
     sweep_threads: &[usize],
     reps: usize,
     flops: Option<f64>,
-    fast_tier: bool,
     mut f: impl FnMut(),
 ) -> Pair {
     let serial_ms = time_ms(reps, || par::serial_scope(&mut f));
-    // The fast-math override is installed on this (calling) thread; every
-    // tier-dispatching kernel resolves it before handing work to the pool,
-    // so scoping the timing closure is enough even for the parallel path.
-    let fast_serial_ms = fast_tier
-        .then(|| fastmath::with_fast_math(true, || time_ms(reps, || par::serial_scope(&mut f))));
     let sweep: Vec<(usize, f64)> = sweep_threads
         .iter()
         .map(|&t| (t, time_ms(reps, || par::with_threads(t, &mut f))))
         .collect();
     let parallel_ms = sweep.last().expect("non-empty sweep").1;
     let speedup = serial_ms / parallel_ms.max(1e-9);
-    let fast_col = match fast_serial_ms {
-        Some(ms) => format!("   fast {ms:8.3} ms"),
-        None => format!("   {:16}", ""),
-    };
-    let rate = match (
-        gflops(flops, serial_ms),
-        fast_serial_ms.and_then(|ms| gflops(flops, ms)),
-    ) {
-        (Some(det), Some(fast)) => format!("   {det:6.1} GF/s det / {fast:.1} fast"),
-        (Some(det), None) => format!("   {det:6.1} GF/s"),
-        _ => String::new(),
-    };
+    let rate = gflops(flops, serial_ms)
+        .map(|g| format!("   {g:6.1} GF/s"))
+        .unwrap_or_default();
     println!(
-        "{name:32} serial {serial_ms:8.3} ms{fast_col}   par {parallel_ms:8.3} ms   x{speedup:.2}{rate}"
+        "{name:32} serial {serial_ms:8.3} ms   par {parallel_ms:8.3} ms   x{speedup:.2}{rate}"
     );
     if sweep.len() > 1 {
         let cols: Vec<String> = sweep
@@ -121,7 +96,6 @@ fn pair(
     Pair {
         name,
         serial_ms,
-        fast_serial_ms,
         sweep,
         flops,
     }
@@ -370,10 +344,10 @@ fn main() {
     let a = normal_matrix(256, 256, 0.0, 1.0, &mut rng);
     let b = normal_matrix(256, 256, 0.0, 1.0, &mut rng);
     let mm_flops = Some(2.0 * 256.0 * 256.0 * 256.0);
-    pairs.push(pair("matmul_256", &sweep, reps, mm_flops, true, || {
+    pairs.push(pair("matmul_256", &sweep, reps, mm_flops, || {
         std::hint::black_box(a.matmul(&b));
     }));
-    pairs.push(pair("matmul_tn_256", &sweep, reps, mm_flops, true, || {
+    pairs.push(pair("matmul_tn_256", &sweep, reps, mm_flops, || {
         std::hint::black_box(a.matmul_tn(&b));
     }));
 
@@ -393,7 +367,7 @@ fn main() {
     // Overwrite into a reused buffer — the replay-path shape of the kernel;
     // timing `spmm()` would charge a 500 KiB allocation per rep to it.
     let mut spmm_out = vec![0.0f32; 2000 * 64];
-    pairs.push(pair("spmm_16k_nnz", &sweep, reps, spmm_flops, true, || {
+    pairs.push(pair("spmm_16k_nnz", &sweep, reps, spmm_flops, || {
         sp.spmm_to(&xd, &mut spmm_out);
         std::hint::black_box(&spmm_out);
     }));
@@ -423,7 +397,6 @@ fn main() {
         &sweep,
         reps,
         edge_flops,
-        false,
         || {
             let mut g = Graph::new();
             let s = g.constant(scores.clone());
@@ -453,7 +426,6 @@ fn main() {
         &sweep,
         reps,
         conv_flops,
-        true,
         || {
             std::hint::black_box(uvd_tensor::conv::conv2d_batch(&xc, &kern, &meta));
         },
@@ -473,7 +445,6 @@ fn main() {
         &sweep,
         reps,
         gated_flops,
-        true,
         || {
             uvd_tensor::plan::gated_matmul_into(&xg, &wg, &fg, &mut gated_out);
             std::hint::black_box(&gated_out);
@@ -494,12 +465,6 @@ fn main() {
                 }).collect::<Vec<_>>(),
             });
             if let serde_json::Value::Object(fields) = &mut k {
-                if let Some(fast_ms) = p.fast_serial_ms {
-                    fields.push(("fast_math_serial_ms".into(), serde::to_value(&fast_ms)));
-                    if let Some(g) = gflops(p.flops, fast_ms) {
-                        fields.push(("fast_math_serial_gflops".into(), serde::to_value(&g)));
-                    }
-                }
                 if let (Some(gs), Some(gp)) =
                     (gflops(p.flops, p.serial_ms), gflops(p.flops, parallel_ms))
                 {
@@ -536,11 +501,6 @@ fn main() {
         "threads": threads,
         "thread_sweep": sweep,
         "host_cores": std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1),
-        // Tier of the *default* columns: false means serial/parallel numbers
-        // are the deterministic (bitwise) tier and only the fast_math_*
-        // fields used the FMA microkernels, via a scoped override.
-        "fast_math": fastmath::enabled(),
-        "fast_math_env": std::env::var("UVD_FAST_MATH").ok(),
         // Process-wide peak heap over everything this snapshot ran (city
         // build, kernel reps, both e2e folds), from the counting allocator.
         "peak_bytes": uvd_obs::alloc::peak_bytes(),

@@ -5,7 +5,6 @@
 
 use uvd_bench::scale_city;
 use uvd_citysim::City;
-use uvd_tensor::fastmath::with_fast_math;
 use uvd_tensor::par;
 use uvd_urg::{VggSim, VGG_SIM_DIM};
 
@@ -32,30 +31,26 @@ fn checksum(vgg: &VggSim, images: &[f32]) -> u64 {
     fnv1a_f32(x.as_slice())
 }
 
-/// The deterministic tier is pinned explicitly, so the checksum also holds
-/// when `UVD_FAST_MATH=1` selects the FMA tier for the process: the scope
-/// must reach the pool workers the rows are computed on.
+/// Default, serial, 2- and 7-thread runs all hash to the recorded constant.
 #[test]
 fn features_checksum_is_pinned_at_every_thread_count() {
     let city = City::from_config(scale_city(64), 1);
     let vgg = VggSim::new();
-    with_fast_math(false, || {
-        let runs = [
-            ("default", checksum(&vgg, &city.images)),
-            ("serial", par::serial_scope(|| checksum(&vgg, &city.images))),
-            (
-                "2 threads",
-                par::with_threads(2, || checksum(&vgg, &city.images)),
-            ),
-            (
-                "7 threads",
-                par::with_threads(7, || checksum(&vgg, &city.images)),
-            ),
-        ];
-        for (what, sum) in runs {
-            assert_eq!(sum, GOLDEN_FEATURES, "{what}: checksum 0x{sum:016x}");
-        }
-    });
+    let runs = [
+        ("default", checksum(&vgg, &city.images)),
+        ("serial", par::serial_scope(|| checksum(&vgg, &city.images))),
+        (
+            "2 threads",
+            par::with_threads(2, || checksum(&vgg, &city.images)),
+        ),
+        (
+            "7 threads",
+            par::with_threads(7, || checksum(&vgg, &city.images)),
+        ),
+    ];
+    for (what, sum) in runs {
+        assert_eq!(sum, GOLDEN_FEATURES, "{what}: checksum 0x{sum:016x}");
+    }
 }
 
 #[test]

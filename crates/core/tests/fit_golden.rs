@@ -20,7 +20,6 @@
 
 use cmsf::{Cmsf, CmsfConfig};
 use uvd_citysim::{City, CityPreset};
-use uvd_tensor::fastmath::with_fast_math;
 use uvd_tensor::par;
 use uvd_urg::{Urg, UrgOptions};
 
@@ -38,22 +37,20 @@ fn fnv1a_f32(xs: &[f32]) -> u64 {
 
 /// `(master loss bits, slave loss bits, FNV-1a of the prediction bits)`.
 fn fit(batch_size: usize) -> (u32, u32, u64) {
-    with_fast_math(false, || {
-        let city = City::from_config(CityPreset::tiny(), 21);
-        let urg = Urg::build(&city, UrgOptions::default());
-        let train: Vec<usize> = (0..urg.labeled.len()).collect();
-        let mut cfg = CmsfConfig::fast_test();
-        cfg.batch_size = batch_size;
-        cfg.sample_fanout = 4;
-        cfg.prefetch = 2;
-        cfg.master_epochs = 6;
-        cfg.slave_epochs = 3;
-        let mut model = Cmsf::new(&urg, cfg);
-        let master = model.train_master(&urg, &train).expect("master trains");
-        let slave = model.train_slave(&urg, &train).expect("slave trains");
-        let scores = model.predict_proba(&urg);
-        (master.to_bits(), slave.to_bits(), fnv1a_f32(&scores))
-    })
+    let city = City::from_config(CityPreset::tiny(), 21);
+    let urg = Urg::build(&city, UrgOptions::default());
+    let train: Vec<usize> = (0..urg.labeled.len()).collect();
+    let mut cfg = CmsfConfig::fast_test();
+    cfg.batch_size = batch_size;
+    cfg.sample_fanout = 4;
+    cfg.prefetch = 2;
+    cfg.master_epochs = 6;
+    cfg.slave_epochs = 3;
+    let mut model = Cmsf::new(&urg, cfg);
+    let master = model.train_master(&urg, &train).expect("master trains");
+    let slave = model.train_slave(&urg, &train).expect("slave trains");
+    let scores = model.predict_proba(&urg);
+    (master.to_bits(), slave.to_bits(), fnv1a_f32(&scores))
 }
 
 #[test]
@@ -75,24 +72,22 @@ fn minibatch_fit_is_pinned() {
 /// FNV-1a of every parameter's bits (in `ParamSet` order) and of the
 /// prediction bits, after a 4+3-epoch full-batch fold on tiny city 11.
 fn replayed_fold() -> (u64, u64) {
-    with_fast_math(false, || {
-        par::serial_scope(|| {
-            let city = City::from_config(CityPreset::tiny(), 11);
-            let urg = Urg::build(&city, UrgOptions::default());
-            let train: Vec<usize> = (0..urg.labeled.len()).collect();
-            let mut cfg = CmsfConfig::fast_test();
-            cfg.master_epochs = 4;
-            cfg.slave_epochs = 3;
-            let mut model = Cmsf::new(&urg, cfg);
-            model.train_master(&urg, &train).expect("master trains");
-            model.train_slave(&urg, &train).expect("slave trains");
-            let params: Vec<f32> = model
-                .param_set()
-                .iter()
-                .flat_map(|p| p.value().as_slice().to_vec())
-                .collect();
-            (fnv1a_f32(&params), fnv1a_f32(&model.predict_proba(&urg)))
-        })
+    par::serial_scope(|| {
+        let city = City::from_config(CityPreset::tiny(), 11);
+        let urg = Urg::build(&city, UrgOptions::default());
+        let train: Vec<usize> = (0..urg.labeled.len()).collect();
+        let mut cfg = CmsfConfig::fast_test();
+        cfg.master_epochs = 4;
+        cfg.slave_epochs = 3;
+        let mut model = Cmsf::new(&urg, cfg);
+        model.train_master(&urg, &train).expect("master trains");
+        model.train_slave(&urg, &train).expect("slave trains");
+        let params: Vec<f32> = model
+            .param_set()
+            .iter()
+            .flat_map(|p| p.value().as_slice().to_vec())
+            .collect();
+        (fnv1a_f32(&params), fnv1a_f32(&model.predict_proba(&urg)))
     })
 }
 

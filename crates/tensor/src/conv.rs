@@ -704,7 +704,6 @@ impl ConvPoolStack {
         assert_eq!(out.len(), n * self.out_len, "conv stack output length");
         // Resolved on the calling thread and handed to the workers.
         let is = crate::gemm::isa();
-        let fm = crate::gemm::fast_math_active();
         let (in_len, out_len) = (self.in_len, self.out_len);
         let work = n * self.sample_work;
         par::for_each_row_block(out, out_len, work, |samples, chunk| {
@@ -716,7 +715,6 @@ impl ConvPoolStack {
                 for (si, i) in samples.enumerate() {
                     self.forward_one(
                         is,
-                        fm,
                         &x[i * in_len..(i + 1) * in_len],
                         buf,
                         &mut chunk[si * out_len..(si + 1) * out_len],
@@ -726,7 +724,7 @@ impl ConvPoolStack {
         });
     }
 
-    fn forward_one(&self, is: Isa, fm: bool, sample: &[f32], buf: &mut [f32], out: &mut [f32]) {
+    fn forward_one(&self, is: Isa, sample: &[f32], buf: &mut [f32], out: &mut [f32]) {
         let (planes, y) = buf.split_at_mut(self.y_at);
         let first = &self.stages[0];
         let (h, w, wp) = (first.h, first.w, first.wp());
@@ -738,7 +736,7 @@ impl ConvPoolStack {
         }
         for (s, stage) in self.stages.iter().enumerate() {
             let src = &planes[stage.pad_at..stage.pad_at + stage.pad_len()];
-            conv_stage(stage, is, fm, src, y);
+            conv_stage(stage, is, src, y);
             match self.stages.get(s + 1) {
                 // Pool straight into the next stage's padded interior.
                 Some(next) => relu_pool(
@@ -760,7 +758,7 @@ impl ConvPoolStack {
 
 /// Direct 3×3 conv of one stage: every output tile of `y` (`c_out × h*w`,
 /// fully overwritten) on the chosen tier.
-fn conv_stage(st: &StackStage, is: Isa, fm: bool, src: &[f32], y: &mut [f32]) {
+fn conv_stage(st: &StackStage, is: Isa, src: &[f32], y: &mut [f32]) {
     let (tw, nc) = match is {
         Isa::Scalar => (8, 4),
         #[cfg(target_arch = "x86_64")]
@@ -784,28 +782,17 @@ fn conv_stage(st: &StackStage, is: Isa, fm: bool, src: &[f32], y: &mut [f32]) {
             t.cv = (st.c_out - co0).min(nc);
             t.assert_in_bounds(st, nc, tw, src, y);
             match is {
-                // The scalar tier has no FMA guarantee; fast-math requests
-                // fall back to the deterministic chain (as in `gemm`).
                 Isa::Scalar => tile_scalar(&t, st, src, y),
                 // SAFETY: `isa()` returns these tiers only after runtime
-                // detection of the matching CPU feature, `fm` is only true
-                // when `fma` was detected (`fast_math_active`), and the tile
-                // passed `assert_in_bounds` for this tier's `nc` and `tw`.
+                // detection of the matching CPU feature, and the tile passed
+                // `assert_in_bounds` for this tier's `nc` and `tw`.
                 #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => unsafe {
-                    if fm {
-                        tile_avx2_fma(&t, st, src, y)
-                    } else {
-                        tile_avx2(&t, st, src, y)
-                    }
-                },
+                Isa::Avx2 => unsafe { tile_avx2(&t, st, src, y) },
                 #[cfg(target_arch = "x86_64")]
                 Isa::Avx512 => unsafe {
-                    match (nc, fm) {
-                        (8, false) => tile_avx512::<8, false>(&t, st, src, y),
-                        (8, true) => tile_avx512::<8, true>(&t, st, src, y),
-                        (_, false) => tile_avx512::<16, false>(&t, st, src, y),
-                        (_, true) => tile_avx512::<16, true>(&t, st, src, y),
+                    match nc {
+                        8 => tile_avx512::<8>(&t, st, src, y),
+                        _ => tile_avx512::<16>(&t, st, src, y),
                     }
                 },
             }
@@ -856,11 +843,11 @@ fn tile_scalar(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
 ///
 /// # Safety
 ///
-/// The CPU must support AVX2 (and FMA when `FMA`), and `t` must have
-/// passed [`Tile::assert_in_bounds`] with `nc = 8`, `tw = 8`.
+/// The CPU must support AVX2, and `t` must have passed
+/// [`Tile::assert_in_bounds`] with `nc = 8`, `tw = 8`.
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn tile_avx2_body<const FMA: bool>(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
+#[target_feature(enable = "avx2")]
+unsafe fn tile_avx2(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
     use std::arch::x86_64::*;
     const NC: usize = 8;
     let (ldw, hw) = (st.ldw, st.h * st.w);
@@ -888,11 +875,7 @@ unsafe fn tile_avx2_body<const FMA: bool>(t: &Tile, st: &StackStage, src: &[f32]
             };
             for (j, a) in acc.iter_mut().enumerate() {
                 let wv = _mm256_set1_ps(*wp.add(j));
-                *a = if FMA {
-                    _mm256_fmadd_ps(wv, b, *a)
-                } else {
-                    _mm256_add_ps(*a, _mm256_mul_ps(wv, b))
-                };
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, b));
             }
             wp = wp.add(ldw);
         }
@@ -909,32 +892,12 @@ unsafe fn tile_avx2_body<const FMA: bool>(t: &Tile, st: &StackStage, src: &[f32]
     }
 }
 
-/// # Safety
-///
-/// As [`tile_avx2_body`] without FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_avx2(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
-    // SAFETY: forwarded from the caller.
-    unsafe { tile_avx2_body::<false>(t, st, src, y) }
-}
-
-/// # Safety
-///
-/// As [`tile_avx2_body`] with FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tile_avx2_fma(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
-    // SAFETY: forwarded from the caller.
-    unsafe { tile_avx2_body::<true>(t, st, src, y) }
-}
-
 /// AVX-512 tile kernel: one zmm accumulator (16 pixels) per output channel.
 /// Tap `p`'s pixels are one unaligned load from the padded plane, or one
 /// masked load per row segment when the tile spans rows (the 8-wide stage's
 /// tile is two half-loads) or ends early. `_mm512_mul_ps` +
-/// `_mm512_add_ps` stay separate (no FMA) unless `FMA`, so each step rounds
-/// exactly like the scalar chain.
+/// `_mm512_add_ps` stay separate (no FMA), so each step rounds exactly like
+/// the scalar chain.
 ///
 /// # Safety
 ///
@@ -942,12 +905,7 @@ unsafe fn tile_avx2_fma(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
 /// [`Tile::assert_in_bounds`] with `nc = NC`, `tw = 16`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tile_avx512<const NC: usize, const FMA: bool>(
-    t: &Tile,
-    st: &StackStage,
-    src: &[f32],
-    y: &mut [f32],
-) {
+unsafe fn tile_avx512<const NC: usize>(t: &Tile, st: &StackStage, src: &[f32], y: &mut [f32]) {
     use std::arch::x86_64::*;
     let (ldw, hw) = (st.ldw, st.h * st.w);
     let segs = t.segs();
@@ -977,11 +935,7 @@ unsafe fn tile_avx512<const NC: usize, const FMA: bool>(
             };
             for (j, a) in acc.iter_mut().enumerate() {
                 let wv = _mm512_set1_ps(*wp.add(j));
-                *a = if FMA {
-                    _mm512_fmadd_ps(wv, b, *a)
-                } else {
-                    _mm512_add_ps(*a, _mm512_mul_ps(wv, b))
-                };
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(wv, b));
             }
             wp = wp.add(ldw);
         }

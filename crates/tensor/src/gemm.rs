@@ -21,15 +21,6 @@
 //! (`avx2` / `avx512f`), never `fma`: a fused multiply-add would skip the
 //! intermediate rounding and break the chain equality.
 //!
-//! **Fast-math tier** (`UVD_FAST_MATH=1`, see [`crate::fastmath`]): the same
-//! driver dispatches FMA variants of the microkernels instead. Each
-//! accumulation step fuses mul + add into one rounding, so results differ
-//! from the deterministic tier at rounding level only — the ascending-`k`
-//! chain per element is unchanged, which keeps the fast tier itself
-//! thread-count deterministic. Tile shapes (and therefore pack layouts) are
-//! shared between tiers, so cached `PackedB` buffers stay valid when the
-//! tier is toggled mid-process.
-//!
 //! Padding rows/columns of a partial tile are packed as `0.0` and the
 //! microkernel never stores lanes `>= m_valid`/`n_valid`, so padded lanes
 //! cannot leak (they may compute `0 * inf = NaN` internally, which is why
@@ -115,31 +106,6 @@ pub(crate) fn isa() -> Isa {
         let _ = forced;
         Isa::Scalar
     })
-}
-
-/// True when the CPU can execute fused multiply-add. The fast-math tier
-/// falls back to the deterministic kernels without it (`f32::mul_add`
-/// lowers to a libm call on non-FMA hardware — slower, not faster).
-pub(crate) fn fma_available() -> bool {
-    static FMA: OnceLock<bool> = OnceLock::new();
-    *FMA.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("fma")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
-    })
-}
-
-/// The fast-math flag a kernel entry should thread into its workers: the
-/// tier is requested (env or scope override) *and* the hardware can honor
-/// it. Resolved on the calling thread so `with_fast_math` scopes cover the
-/// parallel portion of a kernel.
-pub(crate) fn fast_math_active() -> bool {
-    crate::fastmath::enabled() && fma_available()
 }
 
 /// Microkernel tile shape `(MR, NR)` for the active ISA tier. Wide tiles need
@@ -277,44 +243,6 @@ fn kern_body<const MR: usize, const NR: usize>(
     }
 }
 
-/// Fast-math twin of [`kern_body`]: each accumulation step is a fused
-/// multiply-add (`mul_add`), one rounding instead of two. Same tile walk,
-/// same ascending-`k` chain — only the per-step rounding differs.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn kern_body_fma<const MR: usize, const NR: usize>(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kc: usize,
-    out: &mut [f32],
-    ldc: usize,
-    mv: usize,
-    nv: usize,
-    accumulate: bool,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if accumulate {
-        for (i, acc_row) in acc.iter_mut().enumerate().take(mv) {
-            let row = &out[i * ldc..i * ldc + nv];
-            acc_row[..nv].copy_from_slice(row);
-        }
-    }
-    for p in 0..kc {
-        let a: &[f32; MR] = a_panel[p * MR..p * MR + MR].try_into().expect("panel tile");
-        let b: &[f32; NR] = b_panel[p * NR..p * NR + NR].try_into().expect("panel tile");
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            let av = a[i];
-            for (j, acc_el) in acc_row.iter_mut().enumerate() {
-                *acc_el = av.mul_add(b[j], *acc_el);
-            }
-        }
-    }
-    for (i, acc_row) in acc.iter().enumerate().take(mv) {
-        let row = &mut out[i * ldc..i * ldc + nv];
-        row.copy_from_slice(&acc_row[..nv]);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -329,25 +257,6 @@ unsafe fn kern_avx2(
     accumulate: bool,
 ) {
     kern_body::<6, 16>(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate);
-}
-
-/// Fast-math AVX2 microkernel: with `fma` enabled the `mul_add` in the
-/// generic body lowers to `vfmadd` and the auto-vectorizer keeps the 6×16
-/// tile in ymm registers.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn kern_avx2_fma(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kc: usize,
-    out: &mut [f32],
-    ldc: usize,
-    mv: usize,
-    nv: usize,
-    accumulate: bool,
-) {
-    kern_body_fma::<6, 16>(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate);
 }
 
 /// AVX-512 microkernel, written with explicit 512-bit intrinsics: the
@@ -402,58 +311,10 @@ unsafe fn kern_avx512(
     }
 }
 
-/// Fast-math AVX-512 microkernel: identical register walk to [`kern_avx512`]
-/// with the mul/add pair fused into `_mm512_fmadd_ps`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn kern_avx512_fma(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kc: usize,
-    out: &mut [f32],
-    ldc: usize,
-    mv: usize,
-    nv: usize,
-    accumulate: bool,
-) {
-    use std::arch::x86_64::*;
-    const MR: usize = 12;
-    debug_assert!((1..=16).contains(&nv) && (1..=MR).contains(&mv));
-    debug_assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * 16);
-    debug_assert!(out.len() >= (mv - 1) * ldc + nv);
-    // SAFETY: same bounds argument as `kern_avx512` — masks are `nv` wide,
-    // row offsets stay below `(mv-1)*ldc + nv`, panel reads are full tiles.
-    unsafe {
-        let mask: __mmask16 = ((1u32 << nv) - 1) as __mmask16;
-        let mut acc = [_mm512_setzero_ps(); MR];
-        if accumulate {
-            for (i, a) in acc.iter_mut().enumerate().take(mv) {
-                *a = _mm512_maskz_loadu_ps(mask, out.as_ptr().add(i * ldc));
-            }
-        }
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..kc {
-            let b = _mm512_loadu_ps(bp);
-            for (i, a) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*ap.add(i));
-                *a = _mm512_fmadd_ps(av, b, *a);
-            }
-            ap = ap.add(MR);
-            bp = bp.add(16);
-        }
-        for (i, a) in acc.iter().enumerate().take(mv) {
-            _mm512_mask_storeu_ps(out.as_mut_ptr().add(i * ldc), mask, *a);
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn run_kern(
     is: Isa,
-    fm: bool,
     a_panel: &[f32],
     b_panel: &[f32],
     kc: usize,
@@ -464,28 +325,13 @@ fn run_kern(
     accumulate: bool,
 ) {
     match is {
-        // The scalar tier has no FMA hardware guarantee; fast-math requests
-        // fall back to the deterministic chain (see `fma_available`).
         Isa::Scalar => kern_body::<4, 8>(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate),
         // SAFETY: `isa()` only returns these tiers after runtime detection of
-        // the matching CPU feature, and `fm` is only true when `fma` was
-        // detected (`fast_math_active`).
+        // the matching CPU feature.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            if fm {
-                kern_avx2_fma(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate)
-            } else {
-                kern_avx2(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate)
-            }
-        },
+        Isa::Avx2 => unsafe { kern_avx2(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate) },
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe {
-            if fm {
-                kern_avx512_fma(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate)
-            } else {
-                kern_avx512(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate)
-            }
-        },
+        Isa::Avx512 => unsafe { kern_avx512(a_panel, b_panel, kc, out, ldc, mv, nv, accumulate) },
     }
 }
 
@@ -514,9 +360,6 @@ fn gemm_driver(
         return;
     }
     let is = isa();
-    // Resolved here, on the calling thread, so a `with_fast_math` scope
-    // reaches the workers (thread-locals don't cross the pool boundary).
-    let fm = fast_math_active();
     let (mr, nr) = tiles();
     let n_blocks = n.div_ceil(nr);
     let row_blocks = m.div_ceil(mr);
@@ -541,18 +384,7 @@ fn gemm_driver(
                         let j0 = jb * nr;
                         let nv = (n - j0).min(nr);
                         let b_sl = &b_pack[jb * nr * k + kb * nr..jb * nr * k + (kb + kc) * nr];
-                        run_kern(
-                            is,
-                            fm,
-                            a_sl,
-                            b_sl,
-                            kc,
-                            &mut out_block[j0..],
-                            n,
-                            mv,
-                            nv,
-                            cont,
-                        );
+                        run_kern(is, a_sl, b_sl, kc, &mut out_block[j0..], n, mv, nv, cont);
                     }
                     kb += kc;
                 }
@@ -575,9 +407,8 @@ pub(crate) fn is_thin(m: usize, k: usize, n: usize) -> bool {
 /// their logical transposes, so only `a_trans` (for `n == 1`) changes how
 /// an operand is read. Each output element keeps one accumulator chain in
 /// ascending `k` — seeded from `out` when `accumulate`, else from `0.0` —
-/// with the packed microkernels' step (`acc + a·b` on the deterministic
-/// tier, `a.mul_add(b, acc)` on the fast-math tier, the scalar tier never
-/// fused), so it matches the packed driver and the oracle bit for bit.
+/// with the packed microkernels' step (`acc + a·b`, never fused), so it
+/// matches the packed driver and the oracle bit for bit.
 #[allow(clippy::too_many_arguments)]
 fn thin_driver(
     a: &[f32],
@@ -590,8 +421,6 @@ fn thin_driver(
     accumulate: bool,
 ) {
     let is = isa();
-    // Resolved on the calling thread (see `gemm_driver`).
-    let fm = fast_math_active();
     let t = ThinArgs {
         a,
         b,
@@ -602,17 +431,11 @@ fn thin_driver(
         accumulate,
     };
     par::for_each_row_block(out, n, m * k * n, |rows, chunk| match is {
-        Isa::Scalar => thin_body::<false>(&t, rows, chunk),
+        Isa::Scalar => thin_body(&t, rows, chunk),
         // SAFETY: `isa()` only returns a SIMD tier after detecting at
-        // least AVX2, and `fm` is only true when FMA was detected.
+        // least AVX2.
         #[cfg(target_arch = "x86_64")]
-        _ => unsafe {
-            if fm {
-                thin_avx2_fma(&t, rows, chunk)
-            } else {
-                thin_avx2(&t, rows, chunk)
-            }
-        },
+        _ => unsafe { thin_avx2(&t, rows, chunk) },
     });
 }
 
@@ -634,29 +457,13 @@ const THIN_ROWS: usize = 8;
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn thin_avx2(t: &ThinArgs, rows: std::ops::Range<usize>, chunk: &mut [f32]) {
-    thin_body::<false>(t, rows, chunk);
+    thin_body(t, rows, chunk);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn thin_avx2_fma(t: &ThinArgs, rows: std::ops::Range<usize>, chunk: &mut [f32]) {
-    thin_body::<true>(t, rows, chunk);
-}
-
-/// One accumulation step of an element's chain, as the microkernels take
-/// it: separate mul + add, or one fused multiply-add on the fast tier.
+/// Output rows `rows` of a thin product into `chunk` (those rows only). Each
+/// step is the microkernels' separate mul + add.
 #[inline(always)]
-fn thin_step<const FMA: bool>(acc: f32, x: f32, y: f32) -> f32 {
-    if FMA {
-        x.mul_add(y, acc)
-    } else {
-        acc + x * y
-    }
-}
-
-/// Output rows `rows` of a thin product into `chunk` (those rows only).
-#[inline(always)]
-fn thin_body<const FMA: bool>(t: &ThinArgs, rows: std::ops::Range<usize>, chunk: &mut [f32]) {
+fn thin_body(t: &ThinArgs, rows: std::ops::Range<usize>, chunk: &mut [f32]) {
     let (a, b, m, k, n) = (t.a, t.b, t.m, t.k, t.n);
     if !t.accumulate {
         chunk.fill(0.0);
@@ -665,7 +472,7 @@ fn thin_body<const FMA: bool>(t: &ThinArgs, rows: std::ops::Range<usize>, chunk:
         // Outer product: every element is a one-step chain.
         for (o_row, &av) in chunk.chunks_exact_mut(n).zip(&a[rows]) {
             for (o, &bv) in o_row.iter_mut().zip(&b[..n]) {
-                *o = thin_step::<FMA>(*o, av, bv);
+                *o += av * bv;
             }
         }
     } else if t.a_trans {
@@ -673,7 +480,7 @@ fn thin_body<const FMA: bool>(t: &ThinArgs, rows: std::ops::Range<usize>, chunk:
         for (p, &bp) in b[..k].iter().enumerate() {
             let a_row = &a[p * m + rows.start..p * m + rows.end];
             for (o, &av) in chunk.iter_mut().zip(a_row) {
-                *o = thin_step::<FMA>(*o, av, bp);
+                *o += av * bp;
             }
         }
     } else {
@@ -687,7 +494,7 @@ fn thin_body<const FMA: bool>(t: &ThinArgs, rows: std::ops::Range<usize>, chunk:
             acc.copy_from_slice(o);
             for (p, &bp) in b.iter().enumerate() {
                 for (r, acc_r) in acc.iter_mut().enumerate() {
-                    *acc_r = thin_step::<FMA>(*acc_r, a_blk[r * k + p], bp);
+                    *acc_r += a_blk[r * k + p] * bp;
                 }
             }
             o.copy_from_slice(&acc);
@@ -696,7 +503,7 @@ fn thin_body<const FMA: bool>(t: &ThinArgs, rows: std::ops::Range<usize>, chunk:
         for (o, a_row) in tail.iter_mut().zip(a_blocks.remainder().chunks_exact(k)) {
             let mut acc = *o;
             for (&av, &bp) in a_row.iter().zip(b) {
-                acc = thin_step::<FMA>(acc, av, bp);
+                acc += av * bp;
             }
             *o = acc;
         }
@@ -857,23 +664,6 @@ mod tests {
         assert_eq!(parse_isa("sse2"), None);
         assert_eq!(parse_isa("avx-512"), None);
         assert_eq!(parse_isa(""), None);
-    }
-
-    #[test]
-    fn fast_math_stays_within_rounding_of_deterministic() {
-        let (m, k, n) = (13, 300, 17);
-        let a = fill(m * k, 3);
-        let b = fill(k * n, 4);
-        let mut det = vec![0.0f32; m * n];
-        matmul_into(&a, &b, &mut det, m, k, n, false, false, true);
-        let mut fm = vec![0.0f32; m * n];
-        crate::fastmath::with_fast_math(true, || {
-            matmul_into(&a, &b, &mut fm, m, k, n, false, false, true);
-        });
-        for (d, f) in det.iter().zip(fm.iter()) {
-            let err = (d - f).abs() / d.abs().max(1.0);
-            assert!(err < 1e-5, "det {d} vs fast {f}");
-        }
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! * [`par`] — the parallel runtime behind the hot kernels: work-size
 //!   thresholded dispatch, `UVD_THREADS` configuration, and deterministic
 //!   row-partitioned execution.
-//! * [`fastmath`] — the opt-in `UVD_FAST_MATH=1` FMA tier: same kernels with
-//!   fused multiply-add and wider accumulators, rounding-level differences
-//!   only (the bitwise-deterministic tier stays the default and the oracle).
+//! * [`oracle`] — the frozen naive kernels every tier of the matmul family
+//!   and spmm reproduces bit for bit (one numeric contract, no fused
+//!   multiply-add).
 //!
 //! ```
 //! use uvd_tensor::{Graph, Matrix, ParamRef, ParamSet, Adam};

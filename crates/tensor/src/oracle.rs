@@ -6,8 +6,7 @@
 //! untouched: every tier of the deterministic [`Matrix::matmul`] family and
 //! of [`crate::Csr::spmm_acc`] keeps one ascending-`k` accumulator chain per
 //! output element, so it must reproduce these bit for bit. The
-//! `par_equivalence` and `fastmath_tiers` proptests and the `sparse` unit
-//! tests enforce that. Do not call these from runtime code.
+//! `par_equivalence` proptests and the `sparse` unit tests enforce that. Do not call these from runtime code.
 
 use crate::matrix::Matrix;
 use crate::sparse::Csr;

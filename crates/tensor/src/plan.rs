@@ -899,16 +899,13 @@ pub fn gated_matmul_into(xm: &Matrix, wm: &Matrix, fm: &Matrix, out: &mut [f32])
 fn gated_matmul_forward(xm: &Matrix, wm: &Matrix, fm: &Matrix, out: &mut [f32]) {
     let (n, d) = xm.shape();
     let h = wm.cols();
-    // Resolve both tiers on the calling thread: the fast-math override is a
-    // thread-local and would read as unset inside pool workers.
     let is = gemm::isa();
-    let fmath = gemm::fast_math_active();
     par::for_each_row_block(out, h, n * d * h * 3, |rows, chunk| {
         for (ri, i) in rows.enumerate() {
             let x_row = xm.row(i);
             let f_row = fm.row(i);
             let out_row = &mut chunk[ri * h..(ri + 1) * h];
-            gated_row_dispatch(is, fmath, x_row, wm, f_row, out_row, h);
+            gated_row_dispatch(is, x_row, wm, f_row, out_row, h);
         }
     });
 }
@@ -922,7 +919,6 @@ const GM_LANES: usize = 16;
 #[inline]
 fn gated_row_dispatch(
     is: gemm::Isa,
-    fmath: bool,
     x_row: &[f32],
     wm: &Matrix,
     f_row: &[f32],
@@ -930,64 +926,35 @@ fn gated_row_dispatch(
     h: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: each tier implies the matching CPU features; `fmath` is only
-    // true when FMA was detected (`gemm::fast_math_active`).
+    // SAFETY: each tier implies the matching CPU features.
     match is {
-        gemm::Isa::Avx512 if fmath => {
-            return unsafe { gated_row_avx512_fma(x_row, wm, f_row, out_row, h) }
-        }
         gemm::Isa::Avx512 => return unsafe { gated_row_avx512(x_row, wm, f_row, out_row, h) },
-        gemm::Isa::Avx2 if fmath => {
-            return unsafe { gated_row_avx2_fma(x_row, wm, f_row, out_row, h) }
-        }
         gemm::Isa::Avx2 => return unsafe { gated_row_avx2(x_row, wm, f_row, out_row, h) },
         gemm::Isa::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (is, fmath);
-    // Scalar tier ignores fast-math: `mul_add` without hardware FMA takes a
-    // libm detour that is slower, not faster (same policy as the GEMM tiers).
-    gated_row_body::<false>(x_row, wm, f_row, out_row, h);
+    let _ = is;
+    gated_row_body(x_row, wm, f_row, out_row, h);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gated_row_avx2(x_row: &[f32], wm: &Matrix, f_row: &[f32], out_row: &mut [f32], h: usize) {
-    gated_row_body::<false>(x_row, wm, f_row, out_row, h);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn gated_row_avx2_fma(x_row: &[f32], wm: &Matrix, f_row: &[f32], out_row: &mut [f32], h: usize) {
-    gated_row_body::<true>(x_row, wm, f_row, out_row, h);
+    gated_row_body(x_row, wm, f_row, out_row, h);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn gated_row_avx512(x_row: &[f32], wm: &Matrix, f_row: &[f32], out_row: &mut [f32], h: usize) {
-    gated_row_body::<false>(x_row, wm, f_row, out_row, h);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-fn gated_row_avx512_fma(x_row: &[f32], wm: &Matrix, f_row: &[f32], out_row: &mut [f32], h: usize) {
-    gated_row_body::<true>(x_row, wm, f_row, out_row, h);
+    gated_row_body(x_row, wm, f_row, out_row, h);
 }
 
 /// One sample row of the gated matmul: `out[k] += Σ_d x[d] * w[d][k] *
 /// f[d*h+k]`, ascending `d` per lane with the zero-skip preserved — the
 /// blocked accumulator tile only hoists each lane's chain out of memory, it
-/// never reorders or drops a term. `FMA = true` (fast-math tier) fuses the
-/// gate multiply into the accumulate, `(x·w)·f + acc` in one rounding; the
-/// term order and the zero-skip are identical in both tiers.
+/// never reorders or drops a term.
 #[inline(always)]
-fn gated_row_body<const FMA: bool>(
-    x_row: &[f32],
-    wm: &Matrix,
-    f_row: &[f32],
-    out_row: &mut [f32],
-    h: usize,
-) {
+fn gated_row_body(x_row: &[f32], wm: &Matrix, f_row: &[f32], out_row: &mut [f32], h: usize) {
     // `w[dd][k]` and `f[dd*h + k]` share the flat offset `dd*h + k`, so one
     // running base indexes both; the `&[f32; GM_LANES]` reborrows give the
     // vectorizer exact trip counts with no per-lane bounds checks.
@@ -1002,11 +969,7 @@ fn gated_row_body<const FMA: bool>(
                 let w_seg: &[f32; GM_LANES] = w_all[base..base + GM_LANES].try_into().unwrap();
                 let f_seg: &[f32; GM_LANES] = f_row[base..base + GM_LANES].try_into().unwrap();
                 for j in 0..GM_LANES {
-                    if FMA {
-                        acc[j] = (xv * w_seg[j]).mul_add(f_seg[j], acc[j]);
-                    } else {
-                        acc[j] += xv * w_seg[j] * f_seg[j];
-                    }
+                    acc[j] += xv * w_seg[j] * f_seg[j];
                 }
             }
             base += h;
@@ -1022,11 +985,7 @@ fn gated_row_body<const FMA: bool>(
             let w_row = wm.row(dd);
             let f_seg = &f_row[dd * h..(dd + 1) * h];
             for k in k0..h {
-                if FMA {
-                    out_row[k] = (xv * w_row[k]).mul_add(f_seg[k], out_row[k]);
-                } else {
-                    out_row[k] += xv * w_row[k] * f_seg[k];
-                }
+                out_row[k] += xv * w_row[k] * f_seg[k];
             }
         }
     }
@@ -1688,15 +1647,14 @@ mod gated_tests {
     }
 
     /// Every SIMD tier of the gated row kernel must be bitwise identical to
-    /// the scalar body in deterministic mode (same chains, same zero-skip),
-    /// and within FMA rounding of it on the fast-math tier.
+    /// the scalar body (same chains, same zero-skip).
     #[test]
     fn gated_row_tiers_match_scalar_body() {
         for &(n, d, h) in &[(5usize, 19usize, 16usize), (4, 8, 21), (3, 6, 7)] {
             let (xm, wm, fm) = gated_fixture(n, d, h);
             let mut oracle = vec![0.0f32; n * h];
             for i in 0..n {
-                gated_row_body::<false>(
+                gated_row_body(
                     xm.row(i),
                     &wm,
                     fm.row(i),
@@ -1705,21 +1663,8 @@ mod gated_tests {
                 );
             }
             let mut tiered = vec![0.0f32; n * h];
-            crate::fastmath::with_fast_math(false, || {
-                gated_matmul_forward(&xm, &wm, &fm, &mut tiered);
-            });
-            assert_eq!(tiered, oracle, "deterministic tier diverged at {n}x{d}x{h}");
-            let mut fast = vec![0.0f32; n * h];
-            crate::fastmath::with_fast_math(true, || {
-                gated_matmul_forward(&xm, &wm, &fm, &mut fast);
-            });
-            for (a, b) in fast.iter().zip(oracle.iter()) {
-                let tol = 1e-5 * b.abs().max(1.0);
-                assert!(
-                    (a - b).abs() <= tol,
-                    "fast-math tier out of tolerance: {a} vs {b}"
-                );
-            }
+            gated_matmul_forward(&xm, &wm, &fm, &mut tiered);
+            assert_eq!(tiered, oracle, "tiered kernel diverged at {n}x{d}x{h}");
         }
     }
 
@@ -1728,19 +1673,15 @@ mod gated_tests {
     fn probe_gated_gflops() {
         let (n, d, h) = (1000, 64, 16);
         let (xm, wm, fm) = gated_fixture(n, d, h);
-        for (label, fast) in [("det", false), ("fast", true)] {
-            crate::fastmath::with_fast_math(fast, || {
-                let mut out = vec![0.0f32; n * h];
-                let mut best = f64::INFINITY;
-                for _ in 0..30 {
-                    out.fill(0.0);
-                    let t = std::time::Instant::now();
-                    gated_matmul_forward(&xm, &wm, &fm, &mut out);
-                    best = best.min(t.elapsed().as_secs_f64());
-                }
-                let gflops = (3 * n * d * h) as f64 / best / 1e9;
-                println!("gated {label}: {:.3} ms  {gflops:.2} GFLOP/s", best * 1e3);
-            });
+        let mut out = vec![0.0f32; n * h];
+        let mut best = f64::INFINITY;
+        for _ in 0..30 {
+            out.fill(0.0);
+            let t = std::time::Instant::now();
+            gated_matmul_forward(&xm, &wm, &fm, &mut out);
+            best = best.min(t.elapsed().as_secs_f64());
         }
+        let gflops = (3 * n * d * h) as f64 / best / 1e9;
+        println!("gated: {:.3} ms  {gflops:.2} GFLOP/s", best * 1e3);
     }
 }

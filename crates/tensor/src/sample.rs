@@ -25,8 +25,7 @@
 //! graph (every node at distance `d` from a seed has its complete
 //! in-neighborhood present for the first `hops - d` layers, by induction).
 //! With `fanout > 0` the forward pass is an approximation, validated by a
-//! convergence contract rather than bit-equality — the same policy as the
-//! `UVD_FAST_MATH` tier.
+//! convergence contract rather than bit-equality.
 
 use crate::init::{derive_seed, seeded_rng};
 use crate::sparse::EdgeIndex;

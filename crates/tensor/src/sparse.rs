@@ -166,9 +166,7 @@ impl Csr {
     /// ascending CSR (`k`) order seeded from the existing output value —
     /// panel width and ISA tier change only *which* elements an iteration
     /// touches, so every tier stays bit-identical to the naive row loop
-    /// (frozen as [`crate::oracle::naive_spmm`]). Under `UVD_FAST_MATH=1`
-    /// the panel step becomes a fused multiply-add (rounding-level
-    /// difference only; see [`crate::fastmath`]).
+    /// (frozen as [`crate::oracle::naive_spmm`]).
     pub fn spmm_acc(&self, x: &Matrix, out: &mut [f32]) {
         self.spmm_dispatch(x, out, true);
     }
@@ -187,13 +185,9 @@ impl Csr {
         assert_eq!(out.len(), self.rows * n, "spmm output buffer size");
         let work = self.nnz() * n;
         let is = gemm::isa();
-        // Resolved on the calling thread so `with_fast_math` scopes reach
-        // the pool workers.
-        let fm = gemm::fast_math_active();
         par::for_each_row_block(out, n, work, |rows, chunk| {
             spmm_rows(
                 is,
-                fm,
                 acc,
                 &self.indptr,
                 &self.indices,
@@ -392,12 +386,11 @@ impl Csr {
 }
 
 /// Dispatch one worker chunk of spmm output rows to the ISA-tier kernel.
-/// Tier selection affects panel width only, never results (deterministic
-/// mode) — see [`Csr::spmm_acc`].
+/// Tier selection affects panel width only, never results — see
+/// [`Csr::spmm_acc`].
 #[allow(clippy::too_many_arguments)]
 fn spmm_rows(
     is: Isa,
-    fm: bool,
     acc: bool,
     indptr: &[u32],
     indices: &[u32],
@@ -408,39 +401,26 @@ fn spmm_rows(
     chunk: &mut [f32],
 ) {
     match is {
-        // Scalar tier: no FMA hardware guarantee, fast-math requests fall
-        // back to the deterministic chain (same policy as the GEMM driver).
-        Isa::Scalar => spmm_rows_body::<8, false>(acc, indptr, indices, values, xs, n, rows, chunk),
+        Isa::Scalar => spmm_rows_body::<8>(acc, indptr, indices, values, xs, n, rows, chunk),
         // SAFETY: `gemm::isa()` only returns these tiers after runtime
-        // feature detection, and `fm` is only true when `fma` was detected.
+        // feature detection.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            if fm {
-                spmm_rows_avx2_fma(acc, indptr, indices, values, xs, n, rows, chunk)
-            } else {
-                spmm_rows_avx2(acc, indptr, indices, values, xs, n, rows, chunk)
-            }
-        },
+        Isa::Avx2 => unsafe { spmm_rows_avx2(acc, indptr, indices, values, xs, n, rows, chunk) },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => unsafe {
-            if fm {
-                spmm_rows_avx512_fma(acc, indptr, indices, values, xs, n, rows, chunk)
-            } else {
-                spmm_rows_avx512(acc, indptr, indices, values, xs, n, rows, chunk)
-            }
+            spmm_rows_avx512(acc, indptr, indices, values, xs, n, rows, chunk)
         },
     }
 }
 
 /// Generic register-tiled spmm row kernel. For each output row, sweep the
 /// row's non-zeros once per `NR`-wide column panel, keeping the panel's
-/// partial sums in a register accumulator array. `FMA=true` fuses the
-/// multiply-add (fast-math tier); `false` keeps separate mul + add
+/// partial sums in a register accumulator array, with separate mul + add
 /// (bit-identical to the naive row loop). The column tail (`n % NR`) runs
 /// the same ascending-`k` chains at the leftover width.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn spmm_rows_body<const NR: usize, const FMA: bool>(
+fn spmm_rows_body<const NR: usize>(
     acc_seed: bool,
     indptr: &[u32],
     indices: &[u32],
@@ -468,13 +448,9 @@ fn spmm_rows_body<const NR: usize, const FMA: bool>(
                     .try_into()
                     .expect("panel slice");
                 for (a, &xv) in acc.iter_mut().zip(xp.iter()) {
-                    if FMA {
-                        *a = v.mul_add(xv, *a);
-                    } else {
-                        // Separate mul + add, never fused: keeps the chain
-                        // bit-identical to the naive kernel.
-                        *a += v * xv;
-                    }
+                    // Separate mul + add, never fused: keeps the chain
+                    // bit-identical to the naive kernel.
+                    *a += v * xv;
                 }
             }
             o_row[j0..j0 + NR].copy_from_slice(&acc);
@@ -491,11 +467,7 @@ fn spmm_rows_body<const NR: usize, const FMA: bool>(
                 let v = values[k];
                 let xp = &xs[c * n + j0..c * n + j0 + w];
                 for (a, &xv) in acc[..w].iter_mut().zip(xp.iter()) {
-                    if FMA {
-                        *a = v.mul_add(xv, *a);
-                    } else {
-                        *a += v * xv;
-                    }
+                    *a += v * xv;
                 }
             }
             o_row[j0..].copy_from_slice(&acc[..w]);
@@ -516,29 +488,13 @@ unsafe fn spmm_rows_avx2(
     rows: std::ops::Range<usize>,
     chunk: &mut [f32],
 ) {
-    spmm_rows_body::<16, false>(acc, indptr, indices, values, xs, n, rows, chunk);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn spmm_rows_avx2_fma(
-    acc: bool,
-    indptr: &[u32],
-    indices: &[u32],
-    values: &[f32],
-    xs: &[f32],
-    n: usize,
-    rows: std::ops::Range<usize>,
-    chunk: &mut [f32],
-) {
-    spmm_rows_body::<16, true>(acc, indptr, indices, values, xs, n, rows, chunk);
+    spmm_rows_body::<16>(acc, indptr, indices, values, xs, n, rows, chunk);
 }
 
 /// AVX-512 tier: 64-wide panels (four zmm accumulator chains per panel,
 /// amortizing each non-zero's index/value load over four vector FLOPs).
 /// Panel width cannot change results — it only picks which elements a sweep
-/// touches — so the width is shared by the deterministic and fast variants.
+/// touches.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -552,23 +508,7 @@ unsafe fn spmm_rows_avx512(
     rows: std::ops::Range<usize>,
     chunk: &mut [f32],
 ) {
-    spmm_rows_body::<64, false>(acc, indptr, indices, values, xs, n, rows, chunk);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn spmm_rows_avx512_fma(
-    acc: bool,
-    indptr: &[u32],
-    indices: &[u32],
-    values: &[f32],
-    xs: &[f32],
-    n: usize,
-    rows: std::ops::Range<usize>,
-    chunk: &mut [f32],
-) {
-    spmm_rows_body::<64, true>(acc, indptr, indices, values, xs, n, rows, chunk);
+    spmm_rows_body::<64>(acc, indptr, indices, values, xs, n, rows, chunk);
 }
 
 /// Directed edge list sorted by destination node, with CSR-style offsets per
@@ -811,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn spmm_tiled_matches_naive_oracle_and_fast_math_is_close() {
+    fn spmm_tiled_matches_naive_oracle() {
         let mut rng = crate::init::seeded_rng(42);
         let (rows, cols, n) = (37, 29, 23); // tile-irregular everywhere
         let mut coo = Vec::new();
@@ -829,10 +769,6 @@ mod tests {
         let tiled = a.spmm(&x);
         let oracle = crate::oracle::naive_spmm(&a, &x);
         assert_eq!(tiled.as_slice(), oracle.as_slice());
-        let fast = crate::fastmath::with_fast_math(true, || a.spmm(&x));
-        for (d, f) in oracle.as_slice().iter().zip(fast.as_slice()) {
-            assert!((d - f).abs() <= 1e-5 * d.abs().max(1.0), "det {d} fast {f}");
-        }
     }
 
     #[test]
@@ -850,20 +786,16 @@ mod tests {
         }
         let a = Csr::from_coo(nodes, nodes, coo);
         let x = crate::init::normal_matrix(nodes, n, 0.0, 1.0, &mut rng);
-        for (label, fm) in [("det", false), ("fast", true)] {
-            crate::fastmath::with_fast_math(fm, || {
-                let mut best = f64::INFINITY;
-                let mut out = vec![0.0f32; nodes * n];
-                for _ in 0..20 {
-                    out.fill(0.0);
-                    let t = std::time::Instant::now();
-                    a.spmm_acc(&x, &mut out);
-                    best = best.min(t.elapsed().as_secs_f64());
-                }
-                let gflops = (2 * a.nnz() * n) as f64 / best / 1e9;
-                println!("spmm {label}: {:.3} ms  {gflops:.2} GFLOP/s", best * 1e3);
-            });
+        let mut best = f64::INFINITY;
+        let mut out = vec![0.0f32; nodes * n];
+        for _ in 0..20 {
+            out.fill(0.0);
+            let t = std::time::Instant::now();
+            a.spmm_acc(&x, &mut out);
+            best = best.min(t.elapsed().as_secs_f64());
         }
+        let gflops = (2 * a.nnz() * n) as f64 / best / 1e9;
+        println!("spmm: {:.3} ms  {gflops:.2} GFLOP/s", best * 1e3);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use rand::Rng;
 use uvd_tensor::conv::{conv2d_batch, maxpool2_batch};
-use uvd_tensor::fastmath::with_fast_math;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
 use uvd_tensor::{par, ConvMeta, ConvPoolStack, Matrix, PoolMeta};
 
@@ -66,11 +65,9 @@ fn check(stages: &[(ConvMeta, Matrix)], n: usize, seed: u64) {
     let stack = ConvPoolStack::new(stages);
     let mut rng = seeded_rng(seed);
     let x = normal_matrix(n, stack.in_len(), 0.0, 1.0, &mut rng);
-    let expect = with_fast_math(false, || reference(stages, &x));
-    let serial = with_fast_math(false, || par::serial_scope(|| stack.forward(x.as_slice())));
-    let parallel = with_fast_math(false, || {
-        par::with_threads(3, || stack.forward(x.as_slice()))
-    });
+    let expect = reference(stages, &x);
+    let serial = par::serial_scope(|| stack.forward(x.as_slice()));
+    let parallel = par::with_threads(3, || stack.forward(x.as_slice()));
     let what = format!("{:?}", stages.iter().map(|(m, _)| *m).collect::<Vec<_>>());
     assert_eq!(serial.shape(), (n, stack.out_len()), "{what}");
     assert!(

@@ -6,9 +6,8 @@
 //! op must reproduce that chain **bit for bit** — the weights, and after an
 //! `edge_aggregate` + loss the gradients of `h_dst`, `h_src`, `a_dst` and
 //! `a_src` — because the CMSF training pins were recorded through the chain.
-//! Both sides share the tiered projections, so they agree on every ISA and
-//! fast-math tier; `scripts/check.sh` runs this file under
-//! `UVD_GEMM_ISA=scalar|avx2` and `UVD_FAST_MATH=1`.
+//! Both sides share the tiered projections, so they agree on every ISA
+//! tier; `scripts/check.sh` runs this file under `UVD_GEMM_ISA=scalar|avx2`.
 //!
 //! Cases: an intra head (`h_src == h_dst`, so the aggregate and both
 //! projections accumulate into one gradient) and a cross head, on a small

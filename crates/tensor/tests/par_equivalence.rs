@@ -317,3 +317,85 @@ fn conv_backward_deterministic_for_fixed_threads() {
     let run2 = par::with_threads(4, run);
     assert_eq!(run1.as_slice(), run2.as_slice(), "two parallel runs differ");
 }
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Column counts that exercise every tile boundary of the spmm kernel:
+/// single-column, below the scalar panel (8), between the AVX2 (16) and
+/// AVX-512 (64) panels, and just past the 64-wide panel so full panels and
+/// ragged tails both run.
+fn awkward_cols() -> impl Strategy<Value = usize> {
+    (0usize..40).prop_map(|i| match i % 5 {
+        0 => 1,           // single column
+        1 => 2 + i % 6,   // below the scalar panel
+        2 => 9 + i % 7,   // between the scalar and AVX2 panels
+        3 => 30 + i % 10, // AVX2 panels plus tail
+        _ => 63 + i % 7,  // straddles the 64-wide AVX-512 panel
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Tiled spmm (all ISA tiers) is bit-identical to the frozen naive row
+    /// loop, for any sparsity pattern — including empty rows and duplicate
+    /// COO entries — and any panel-straddling width.
+    #[test]
+    fn tiled_spmm_bitwise_matches_oracle(
+        entries in proptest::collection::vec((0u32..13, 0u32..11, -2.0f32..2.0), 0..80),
+        n in awkward_cols(),
+        xseed in 0u64..1000,
+    ) {
+        let a = Csr::from_coo(13, 11, entries);
+        let mut rng = seeded_rng(xseed);
+        let x = normal_matrix(11, n, 0.0, 1.0, &mut rng);
+        let oracle = oracle::naive_spmm(&a, &x);
+        let tiled = a.spmm(&x);
+        prop_assert_eq!(bits(&tiled), bits(&oracle), "overwrite entry");
+        // The accumulate entry seeded from a zero-filled buffer runs the
+        // exact same chains as the overwrite entry's literal-zero seeds.
+        let mut acc = vec![0.0f32; 13 * n];
+        a.spmm_acc(&x, &mut acc);
+        prop_assert_eq!(
+            acc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            bits(&oracle),
+            "accumulate entry from zeroed buffer"
+        );
+    }
+}
+
+/// A caught panic must leave the thread's `par` scopes as it found them.
+/// First a bare `with_threads(3, …)` body panics: the thread must be back
+/// on its ambient count (3 differs from it under every `UVD_THREADS` the
+/// test matrix uses). Then a kernel's last chunk panics — the dispatching
+/// thread runs that chunk itself, as a worker — and the thread must not
+/// stay "in a worker", which would make every later kernel on it serial.
+#[test]
+fn caught_panic_restores_worker_and_thread_scopes() {
+    let ambient = par::effective_threads();
+    let caught = std::panic::catch_unwind(|| par::with_threads(3, || panic!("scope body fails")));
+    assert!(caught.is_err(), "the body's panic reaches the caller");
+    assert_eq!(
+        par::effective_threads(),
+        ambient,
+        "the thread-count scope leaked out of the unwind"
+    );
+    let caught = std::panic::catch_unwind(|| {
+        par::with_threads(3, || {
+            par::for_each_row_block(&mut [0u8; 9], 1, par::MIN_PAR_WORK, |rows, _| {
+                assert!(par::in_worker());
+                if rows.end == 9 {
+                    panic!("last chunk fails");
+                }
+            });
+        })
+    });
+    assert!(caught.is_err(), "the chunk's panic reaches the caller");
+    assert!(
+        !par::in_worker(),
+        "the worker flag leaked out of the unwind"
+    );
+    assert_eq!(par::effective_threads(), ambient);
+}

@@ -30,7 +30,6 @@
 //! define-by-run engine before that engine was deleted.
 
 use std::sync::Arc;
-use uvd_tensor::fastmath::with_fast_math;
 use uvd_tensor::init::{normal_matrix, seeded_rng};
 use uvd_tensor::{
     par, Adam, ConvMeta, Csr, CsrPair, EdgeIndex, FusedAct, Graph, Matrix, NodeId, ParamRef,
@@ -436,60 +435,58 @@ fn fnv1a(h: &mut u64, words: &[u32]) {
 
 #[test]
 fn replayed_training_tape_matches_fresh_recordings_and_pin() {
-    with_fast_math(false, || {
-        par::serial_scope(|| {
-            let toy = Toy::new();
-            let mut set = ParamSet::new();
-            set.track(toy.w1.clone());
-            set.track(toy.w_att.clone());
-            set.track(toy.w2.clone());
+    par::serial_scope(|| {
+        let toy = Toy::new();
+        let mut set = ParamSet::new();
+        set.track(toy.w1.clone());
+        set.track(toy.w_att.clone());
+        set.track(toy.w2.clone());
 
-            let mut g = Graph::new();
-            let (xc, loss) = toy.record(&mut g);
-            let mut opt = Adam::new(0.05);
-            let mut pin = 0xcbf2_9ce4_8422_2325u64;
-            for epoch in 0..4 {
-                if epoch > 0 {
-                    g.replay();
-                }
-                let mut fresh = Graph::new();
-                let (_, fresh_loss) = toy.record(&mut fresh);
-                assert_eq!(fresh.len(), g.len());
-                for i in 0..g.len() {
-                    assert_eq!(
-                        bits(g.value(g.node(i))),
-                        bits(fresh.value(fresh.node(i))),
-                        "epoch {epoch}: forward value of node {i} diverged"
-                    );
-                }
-
-                g.backward(loss);
-                fresh.backward(fresh_loss);
-                set.zero_grads();
-                fresh.write_grads();
-                let fresh_grads: Vec<Vec<u32>> = set.iter().map(|p| bits(&p.grad())).collect();
-                set.zero_grads();
-                g.write_grads();
-                let grads: Vec<Vec<u32>> = set.iter().map(|p| bits(&p.grad())).collect();
-                assert_eq!(grads, fresh_grads, "epoch {epoch}: param grads diverged");
-                for i in 0..g.len() {
-                    if let Some(grad) = g.grad(g.node(i)) {
-                        let fresh_grad = fresh.grad(fresh.node(i)).expect("fresh grad present");
-                        assert_eq!(bits(grad), bits(fresh_grad), "epoch {epoch}: grad {i}");
-                    }
-                }
-                assert!(g.grad(xc).is_none(), "constant features must be pruned");
-
-                fnv1a(&mut pin, &bits(g.value(loss)));
-                for grad in &grads {
-                    fnv1a(&mut pin, grad);
-                }
-                opt.step(&set);
+        let mut g = Graph::new();
+        let (xc, loss) = toy.record(&mut g);
+        let mut opt = Adam::new(0.05);
+        let mut pin = 0xcbf2_9ce4_8422_2325u64;
+        for epoch in 0..4 {
+            if epoch > 0 {
+                g.replay();
             }
-            // Recorded from the define-by-run engine that preceded
-            // Plan/Workspace replay (fresh buffers per op, re-recorded every
-            // epoch), on the same tape and schedule.
-            assert_eq!(pin, 0xbb68_b41c_7119_f833, "loss/grad FNV 0x{pin:016x}");
-        });
+            let mut fresh = Graph::new();
+            let (_, fresh_loss) = toy.record(&mut fresh);
+            assert_eq!(fresh.len(), g.len());
+            for i in 0..g.len() {
+                assert_eq!(
+                    bits(g.value(g.node(i))),
+                    bits(fresh.value(fresh.node(i))),
+                    "epoch {epoch}: forward value of node {i} diverged"
+                );
+            }
+
+            g.backward(loss);
+            fresh.backward(fresh_loss);
+            set.zero_grads();
+            fresh.write_grads();
+            let fresh_grads: Vec<Vec<u32>> = set.iter().map(|p| bits(&p.grad())).collect();
+            set.zero_grads();
+            g.write_grads();
+            let grads: Vec<Vec<u32>> = set.iter().map(|p| bits(&p.grad())).collect();
+            assert_eq!(grads, fresh_grads, "epoch {epoch}: param grads diverged");
+            for i in 0..g.len() {
+                if let Some(grad) = g.grad(g.node(i)) {
+                    let fresh_grad = fresh.grad(fresh.node(i)).expect("fresh grad present");
+                    assert_eq!(bits(grad), bits(fresh_grad), "epoch {epoch}: grad {i}");
+                }
+            }
+            assert!(g.grad(xc).is_none(), "constant features must be pruned");
+
+            fnv1a(&mut pin, &bits(g.value(loss)));
+            for grad in &grads {
+                fnv1a(&mut pin, grad);
+            }
+            opt.step(&set);
+        }
+        // Recorded from the define-by-run engine that preceded
+        // Plan/Workspace replay (fresh buffers per op, re-recorded every
+        // epoch), on the same tape and schedule.
+        assert_eq!(pin, 0xbb68_b41c_7119_f833, "loss/grad FNV 0x{pin:016x}");
     });
 }

@@ -29,7 +29,7 @@ use crate::vgg::{standardize_columns, VggSim, VGG_SIM_DIM};
 use std::sync::Arc;
 use uvd_citysim::{CityStream, CityTile, Poi, RoadNetwork, SurveyLabels};
 use uvd_tensor::graph::CsrPair;
-use uvd_tensor::{fastmath, par, Csr, EdgeIndex, Matrix};
+use uvd_tensor::{par, Csr, EdgeIndex, Matrix};
 
 /// A built URG with the per-shard statistics of the tiles it was built
 /// from.
@@ -236,22 +236,18 @@ impl ShardedUrg {
         let mut _s = uvd_obs::span("urg.shard.build");
         let mut builder = ShardedUrgBuilder::from_skeleton(&stream, opts);
         let threads = par::effective_threads();
-        let fm = fastmath::enabled();
         if threads > 1 && stream.n_tiles() > 1 {
             std::thread::scope(|scope| {
                 let (tx, rx) = std::sync::mpsc::sync_channel::<CityTile>(0);
                 let builder = &mut builder;
                 let folder = scope.spawn(move || {
-                    // Thread-pool and fast-math overrides are thread-local:
-                    // re-install the caller's effective width and tier so the
-                    // fold parallelizes (and chunks, and rounds) exactly as
-                    // it would on the caller thread.
+                    // The thread-pool override is thread-local: re-install the
+                    // caller's effective width so the fold parallelizes (and
+                    // chunks) exactly as it would on the caller thread.
                     par::with_threads(threads, || {
-                        fastmath::with_fast_math(fm, || {
-                            while let Ok(tile) = rx.recv() {
-                                builder.add_tile(&tile);
-                            }
-                        })
+                        while let Ok(tile) = rx.recv() {
+                            builder.add_tile(&tile);
+                        }
                     });
                 });
                 while let Some(tile) = stream.next_tile() {

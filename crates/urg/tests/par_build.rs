@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use uvd_citysim::{City, CityConfig, CityPreset, CityStream};
-use uvd_tensor::{fastmath, par};
+use uvd_tensor::par;
 use uvd_urg::{ShardedUrg, Urg, UrgOptions};
 
 /// Small irregular city: non-square grids, a few UV patches.
@@ -135,30 +135,27 @@ const URG_PIN: u64 = 0xdb3e_1ce9_6aac_d455;
 const URG_PIN_NO_IMAGE: u64 = 0x3483_2eae_de24_ffac;
 
 /// Dense and streamed (3-row tiles) builds of one irregular city hash to
-/// recorded constants, serially and at 2 and 7 threads, on the
-/// deterministic tier whatever `UVD_FAST_MATH` selects.
+/// recorded constants, serially and at 2 and 7 threads.
 #[test]
 fn urg_build_is_pinned() {
     let cfg = city_cfg(9, 7);
     let city = City::from_config(cfg.clone(), 13);
-    fastmath::with_fast_math(false, || {
-        for threads in [1usize, 2, 7] {
-            par::with_threads(threads, || {
-                let dense = urg_hash(&Urg::build(&city, UrgOptions::default()));
-                assert_eq!(dense, URG_PIN, "dense threads={threads}: 0x{dense:016x}");
-                let no_image = urg_hash(&Urg::build(&city, UrgOptions::no_image()));
-                assert_eq!(
-                    no_image, URG_PIN_NO_IMAGE,
-                    "no_image threads={threads}: 0x{no_image:016x}"
-                );
-                let stream = CityStream::new(cfg.clone(), 13, 3);
-                let streamed =
-                    urg_hash(&ShardedUrg::from_stream(stream, UrgOptions::default()).into_urg());
-                assert_eq!(
-                    streamed, URG_PIN,
-                    "streamed threads={threads}: 0x{streamed:016x}"
-                );
-            });
-        }
-    });
+    for threads in [1usize, 2, 7] {
+        par::with_threads(threads, || {
+            let dense = urg_hash(&Urg::build(&city, UrgOptions::default()));
+            assert_eq!(dense, URG_PIN, "dense threads={threads}: 0x{dense:016x}");
+            let no_image = urg_hash(&Urg::build(&city, UrgOptions::no_image()));
+            assert_eq!(
+                no_image, URG_PIN_NO_IMAGE,
+                "no_image threads={threads}: 0x{no_image:016x}"
+            );
+            let stream = CityStream::new(cfg.clone(), 13, 3);
+            let streamed =
+                urg_hash(&ShardedUrg::from_stream(stream, UrgOptions::default()).into_urg());
+            assert_eq!(
+                streamed, URG_PIN,
+                "streamed threads={threads}: 0x{streamed:016x}"
+            );
+        });
+    }
 }

@@ -31,20 +31,6 @@ cargo test -p uvd-tensor --release --test alloc_replay -q
 # Graceful-degradation gate in release mode: debug_assert-free builds must
 # also record faulted (seed, fold) units instead of panicking.
 cargo test -p uvd-eval --release --test fault_injection -q
-# Fast-math gate in release mode: the FMA tier must stay within rounding
-# tolerance of the deterministic oracle (and bit-stable across threads)
-# when the env var — not just the test-local override — selects it.
-UVD_FAST_MATH=1 cargo test -p uvd-tensor --release --test fastmath_tiers -q
-# The deterministic pins must hold under a `with_fast_math(false, …)` scope
-# even when the env var selects the FMA tier: the scope has to reach pool
-# workers and the prefetch producer thread, not only the calling thread.
-UVD_FAST_MATH=1 cargo test -p cmsf --release --test fit_golden -q
-UVD_FAST_MATH=1 cargo test -p uvd-bench --release --test img_golden -q
-UVD_FAST_MATH=1 cargo test -p uvd-urg --release --test par_build -q
-# The fused GAT edge-attention op and the seven-node chain it replaced
-# share the tiered score projections, so they must agree bitwise on the
-# FMA tier too (the ISA tiers are covered in the loop below).
-UVD_FAST_MATH=1 cargo test -p uvd-tensor --release --test edge_attention_differential -q
 # Build-path determinism gate in release mode: the one URG builder, run
 # dense (one whole-city tile) and streamed (pipelined render/fold), must be
 # bitwise identical to the serial build at every swept thread count and
@@ -67,12 +53,10 @@ for isa in scalar avx2; do
 done
 # Bench harness must keep compiling even when nobody runs it.
 cargo bench --workspace --no-run -q
-# Release perfsnap smoke passes, one per determinism tier: exercise the
-# packed GEMM tiers (deterministic and FMA), the fused replay path, and
-# the e2e fold end to end without rewriting the committed
+# Release perfsnap smoke pass: exercise the packed GEMM tiers, the fused
+# replay path, and the e2e fold end to end without rewriting the committed
 # BENCH_tensor.json numbers.
 cargo run --release -p uvd-bench --bin perfsnap -q -- --smoke
-UVD_FAST_MATH=1 cargo run --release -p uvd-bench --bin perfsnap -q -- --smoke
 # Tracing smoke: one eval fold with UVD_TRACE=jsonl:<tmp>, validating the
 # emitted records against the expected span/counter set and reconciling
 # stage durations against wall time (within 10%).
