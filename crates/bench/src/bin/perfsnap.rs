@@ -510,18 +510,15 @@ fn main() {
         "build": build,
     });
     let path = repo_root_path("BENCH_tensor.json");
-    // Keys owned by other tools (`scaling`'s curve, `tasks_smoke`'s row,
-    // anything future) ride along across rewrites so each tool can update
-    // the snapshot independently.
-    if let Some(serde_json::Value::Object(prev)) = std::fs::read_to_string(&path)
+    // The `scaling` bin owns the `scaling` curve; it rides along across
+    // rewrites so each tool can update the snapshot independently. Every
+    // other old key is dropped, so a field perfsnap retires leaves the file.
+    if let Some(scaling) = std::fs::read_to_string(&path)
         .ok()
         .and_then(|t| serde_json::from_str_value(&t).ok())
+        .and_then(|prev| prev.get("scaling").cloned())
     {
-        for (key, value) in prev {
-            if doc.get(&key).is_none() {
-                doc.set(&key, value);
-            }
-        }
+        doc.set("scaling", scaling);
     }
     std::fs::write(
         &path,

@@ -34,12 +34,10 @@ pub mod noise;
 pub mod poi;
 pub mod roads;
 pub mod stream;
-pub mod tasks;
 pub mod types;
 
 pub use config::{CityConfig, CityPreset};
 pub use stream::{CityStream, CityTile};
-pub use tasks::{land_use_classes, land_use_histogram, LAND_USE_CLASSES};
 pub use types::{
     City, FacilityClass, LandUse, Poi, PoiCategory, PoiKind, RadiusType, RegionProfile,
     RoadNetwork, SurveyLabels, CELL_METERS, IMG_CHANNELS, IMG_LEN, IMG_SIZE,

@@ -49,20 +49,6 @@ impl LandUse {
     pub fn is_urban_village(self) -> bool {
         self == LandUse::UrbanVillage
     }
-
-    /// Stable class index into [`LandUse::ALL`] — the label space of the
-    /// downstream land-use classification task.
-    pub fn index(self) -> usize {
-        LandUse::ALL
-            .iter()
-            .position(|&l| l == self)
-            .expect("every variant is in ALL")
-    }
-
-    /// Inverse of [`LandUse::index`].
-    pub fn from_index(i: usize) -> Option<LandUse> {
-        LandUse::ALL.get(i).copied()
-    }
 }
 
 /// The 23 top-level POI categories used for the category-distribution

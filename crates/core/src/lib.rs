@@ -43,4 +43,3 @@ pub use gate::MsGate;
 pub use gscm::{CollectionMode, FixedAssignment, Gscm};
 pub use maga::{MagaLayer, MagaStack};
 pub use model::{Cmsf, ServeBatch, ServeHead};
-pub use persist::{embedding_key, EMBED_PREFIX};

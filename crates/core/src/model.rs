@@ -728,8 +728,7 @@ impl Cmsf {
         g.value(xt).clone()
     }
 
-    /// Width of the master-stage region representation `x̃` (d_rep) — the
-    /// dimensionality of exported embeddings.
+    /// Width of the master-stage region representation `x̃` (d_rep).
     pub fn embedding_dim(&self) -> usize {
         self.maga.out_dim()
     }

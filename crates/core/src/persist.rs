@@ -11,16 +11,7 @@ use crate::gscm::FixedAssignment;
 use crate::model::Cmsf;
 use std::io;
 use std::path::Path;
-use uvd_tensor::{EmbeddingMeta, EmbeddingStore, Matrix, MatrixStore};
-use uvd_urg::Urg;
-
-/// Entry-name prefix for exported per-city embedding matrices.
-pub const EMBED_PREFIX: &str = "emb.";
-
-/// The store key an exported city embedding lives under.
-pub fn embedding_key(city_id: &str) -> String {
-    format!("{EMBED_PREFIX}{city_id}")
-}
+use uvd_tensor::{Matrix, MatrixStore};
 
 const KEY_B_SOFT: &str = "cmsf.fixed.b_soft";
 const KEY_B_HARD_T: &str = "cmsf.fixed.b_hard_t";
@@ -113,17 +104,6 @@ impl Cmsf {
         store.restore_params(self.param_set())?;
         self.set_trained_state(fixed, slave_trained);
         Ok(())
-    }
-
-    /// Export the frozen master-stage representation `x̃` for a city into
-    /// an [`EmbeddingStore`], under `emb.<city_id>`, stamped with the city
-    /// id, the embedding width, and the content hash of this model's
-    /// checkpoint — the "pretrain once" half of the reusable-embedding
-    /// story (downstream heads consume the entry without re-running MAGA).
-    pub fn export_embeddings(&self, urg: &Urg, city_id: &str, store: &mut EmbeddingStore) {
-        let x = self.x_tilde_matrix(urg);
-        let meta = EmbeddingMeta::new(city_id, x.cols(), self.to_store().content_hash());
-        store.insert(embedding_key(city_id), x, meta);
     }
 
     /// Save the trained model to a file.
@@ -259,33 +239,6 @@ mod tests {
         let before = fresh.predict(&urg);
         assert!(fresh.restore_from_store(&store).is_err());
         assert_eq!(fresh.predict(&urg), before);
-    }
-
-    #[test]
-    fn export_embeddings_stamps_provenance_and_roundtrips() {
-        let (urg, train) = setup();
-        let mut cfg = CmsfConfig::fast_test();
-        cfg.master_epochs = 5;
-        cfg.slave_epochs = 2;
-        let mut model = Cmsf::new(&urg, cfg);
-        model.fit(&urg, &train);
-
-        let mut store = uvd_tensor::EmbeddingStore::new();
-        model.export_embeddings(&urg, "tiny", &mut store);
-        let key = crate::persist::embedding_key("tiny");
-        let emb = store.get(&key).expect("exported entry");
-        assert_eq!(emb.shape(), (urg.n, model.embedding_dim()));
-        assert_eq!(emb.as_slice(), model.x_tilde_matrix(&urg).as_slice());
-        let meta = store.meta(&key).expect("meta");
-        assert_eq!(meta.city, "tiny");
-        assert_eq!(meta.dim as usize, model.embedding_dim());
-        assert_eq!(meta.checkpoint_hash, model.to_store().content_hash());
-
-        // The exported matrix survives a v2 file round trip bit-exactly.
-        let mut buf = Vec::new();
-        store.write_to(&mut buf).expect("write");
-        let back = uvd_tensor::EmbeddingStore::read_from(&mut buf.as_slice()).expect("read");
-        assert_eq!(back.get(&key).expect("entry").as_slice(), emb.as_slice());
     }
 
     #[test]

@@ -13,16 +13,14 @@ pub mod records;
 pub mod runner;
 pub mod screening;
 pub mod splits;
-pub mod taskrun;
 
 pub use cities::{dataset_city, dataset_seed, dataset_urg};
 pub use factory::{build_detector, MethodKind};
 pub use faults::{Fault, FaultyDetector};
-pub use metrics::{auc, multiclass_accuracy, prf_at_top_percent, rmse, MetricError, Prf};
+pub use metrics::{auc, prf_at_top_percent, MetricError, Prf};
 pub use records::{
     DatasetRow, ExperimentRecord, FoldOutcome, FoldStage, MeanStd, MethodSummary, PSummary,
 };
 pub use runner::{eval_scores, run_custom, run_method, RunError, RunSpec};
 pub use screening::{cluster_candidates, rank_regions, short_list, Candidate};
 pub use splits::{block_folds, mask_ratio, train_test_pairs};
-pub use taskrun::{run_task_suite, TaskRow};

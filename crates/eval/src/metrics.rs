@@ -144,40 +144,6 @@ pub fn prf_at_top_percent(scores: &[f32], labels: &[f32], p: usize) -> Result<Pr
     })
 }
 
-/// Fraction of exact class matches. Mismatched lengths yield a typed
-/// [`MetricError`]; empty inputs score 0.
-pub fn multiclass_accuracy(pred: &[u8], truth: &[u8]) -> Result<f64, MetricError> {
-    if pred.len() != truth.len() {
-        return Err(MetricError::LengthMismatch {
-            scores: pred.len(),
-            labels: truth.len(),
-        });
-    }
-    if pred.is_empty() {
-        return Ok(0.0);
-    }
-    let hits = pred.iter().zip(truth).filter(|(a, b)| a == b).count();
-    Ok(hits as f64 / pred.len() as f64)
-}
-
-/// Root-mean-square error between predictions and targets. Mismatched or
-/// non-finite inputs yield a typed [`MetricError`]; empty inputs score 0.
-pub fn rmse(pred: &[f32], truth: &[f32]) -> Result<f64, MetricError> {
-    check_inputs(pred, truth)?;
-    if pred.is_empty() {
-        return Ok(0.0);
-    }
-    let sse: f64 = pred
-        .iter()
-        .zip(truth)
-        .map(|(&a, &b)| {
-            let d = (a - b) as f64;
-            d * d
-        })
-        .sum();
-    Ok((sse / pred.len() as f64).sqrt())
-}
-
 /// Mean and sample standard deviation (Bessel's correction, `n - 1`) of a
 /// set of per-seed metric values. A single sample has zero deviation.
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
@@ -319,28 +285,6 @@ mod tests {
         assert_eq!(mean_std(&[]), (0.0, 0.0));
         // A single sample carries no spread information.
         assert_eq!(mean_std(&[7.0]), (7.0, 0.0));
-    }
-
-    #[test]
-    fn multiclass_accuracy_counts_exact_matches() {
-        assert_eq!(multiclass_accuracy(&[0, 1, 2, 3], &[0, 1, 2, 7]), Ok(0.75));
-        assert_eq!(multiclass_accuracy(&[], &[]), Ok(0.0));
-        assert_eq!(
-            multiclass_accuracy(&[1], &[1, 2]),
-            Err(MetricError::LengthMismatch {
-                scores: 1,
-                labels: 2
-            })
-        );
-    }
-
-    #[test]
-    fn rmse_matches_hand_computation() {
-        // Errors (1, -1) → RMSE 1 exactly.
-        let v = rmse(&[1.0, 2.0], &[0.0, 3.0]).unwrap();
-        assert!((v - 1.0).abs() < 1e-12);
-        assert_eq!(rmse(&[], &[]), Ok(0.0));
-        assert!(rmse(&[f32::NAN], &[0.0]).is_err());
     }
 
     #[test]

@@ -27,8 +27,6 @@ pub mod engine;
 pub mod env;
 pub mod proto;
 pub mod server;
-pub mod tasks;
 
 pub use engine::{BatchScorer, Caches, UpdateOutcome, Updater};
 pub use server::{ServeOptions, Server};
-pub use tasks::TaskScorer;

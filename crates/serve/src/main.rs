@@ -2,11 +2,8 @@
 //!
 //! ```text
 //! uvd-serve --ckpt model.uvd [--city tiny] [--seed 7] [--addr 127.0.0.1:7878]
-//!           [--workers 2] [--trace trace.jsonl] [--embeddings store.uvdt2]
+//!           [--workers 2] [--trace trace.jsonl]
 //! ```
-//!
-//! With `--embeddings`, the `tasks` op serves land-use classes and
-//! accessibility indices from the frozen embedding store.
 //!
 //! The URG is rebuilt deterministically from the named city preset and
 //! seed (the same pair used at training time), then the checkpoint is
@@ -16,13 +13,13 @@ use std::io::Read;
 
 use uvd_citysim::{City, CityPreset};
 use uvd_serve::{ServeOptions, Server};
-use uvd_tensor::{EmbeddingStore, MatrixStore};
+use uvd_tensor::MatrixStore;
 use uvd_urg::{Urg, UrgOptions};
 
 fn usage() -> ! {
     eprintln!(
         "usage: uvd-serve --ckpt <path> [--city tiny|shenzhen|fuzhou|beijing] [--seed N] \
-         [--addr HOST:PORT] [--workers N] [--trace <path>] [--embeddings <path>]"
+         [--addr HOST:PORT] [--workers N] [--trace <path>]"
     );
     std::process::exit(2);
 }
@@ -36,7 +33,6 @@ fn main() {
         ..ServeOptions::default()
     };
     let mut trace: Option<String> = None;
-    let mut embeddings: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -50,7 +46,6 @@ fn main() {
             "--addr" => opts.addr = val(&mut args),
             "--workers" => opts.workers = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--trace" => trace = Some(val(&mut args)),
-            "--embeddings" => embeddings = Some(val(&mut args)),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -95,16 +90,6 @@ fn main() {
             std::process::exit(1);
         }
     };
-
-    if let Some(path) = &embeddings {
-        match EmbeddingStore::load(path) {
-            Ok(s) => opts.embeddings = Some(s),
-            Err(e) => {
-                eprintln!("uvd-serve: cannot load embedding store {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 
     let server = match Server::start(urg, cfg, store, opts) {
         Ok(s) => s,

@@ -6,17 +6,12 @@
 //!
 //! ```text
 //! {"op":"score","ids":[3,17,4]}        -> {"ok":true,"scores":[...],"version":0}
-//! {"op":"tasks","ids":[3,17,4]}        -> {"ok":true,"classes":[...],"access":[...]}
 //! {"op":"health"}                      -> {"ok":true,"status":"ok",...}
 //! {"op":"stats"}                       -> {"ok":true,"requests":...,...}
 //! {"op":"update_poi","region":3,
 //!  "poi":[...]}                        -> {"ok":true,"version":1,"reembedded":...}
 //! anything else                        -> {"ok":false,"error":"..."}
 //! ```
-//!
-//! `tasks` answers from the frozen embedding store (land-use class and
-//! accessibility index per id); it is only available when the server was
-//! started with one.
 //!
 //! Parsing goes through the vendored [`serde_json::Value`] tree; a
 //! malformed line is an *error reply*, never a process death — the serve
@@ -32,11 +27,6 @@ pub const MAX_IDS_PER_REQUEST: usize = 65_536;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     Score {
-        ids: Vec<u32>,
-        tag: Option<Value>,
-    },
-    /// Downstream-task scores from the frozen embedding store.
-    Tasks {
         ids: Vec<u32>,
         tag: Option<Value>,
     },
@@ -58,7 +48,6 @@ impl Request {
     pub fn tag(&self) -> Option<&Value> {
         match self {
             Request::Score { tag, .. }
-            | Request::Tasks { tag, .. }
             | Request::Health { tag }
             | Request::Stats { tag }
             | Request::UpdatePoi { tag, .. } => tag.as_ref(),
@@ -75,13 +64,13 @@ fn as_index(v: &Value) -> Option<u64> {
     }
 }
 
-/// Parse the shared `"ids"` array of a `score`/`tasks` request.
-fn parse_ids(v: &Value, op: &str) -> Result<Vec<u32>, String> {
+/// Parse the `"ids"` array of a `score` request.
+fn parse_ids(v: &Value) -> Result<Vec<u32>, String> {
     // Accept both the paper-facing name and the short form.
     let ids_val = v
         .get("ids")
         .or_else(|| v.get("region_ids"))
-        .ok_or_else(|| format!("{op} request needs an \"ids\" array"))?;
+        .ok_or_else(|| "score request needs an \"ids\" array".to_string())?;
     let arr = match ids_val {
         Value::Array(a) => a,
         _ => return Err("\"ids\" must be an array of region ids".to_string()),
@@ -115,11 +104,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .ok_or_else(|| "missing string field \"op\"".to_string())?;
     match op {
         "score" => Ok(Request::Score {
-            ids: parse_ids(&v, "score")?,
-            tag,
-        }),
-        "tasks" => Ok(Request::Tasks {
-            ids: parse_ids(&v, "tasks")?,
+            ids: parse_ids(&v)?,
             tag,
         }),
         "health" => Ok(Request::Health { tag }),
@@ -178,21 +163,6 @@ pub fn score_reply(scores: &[f32], version: u64, tag: Option<&Value>) -> String 
             ("ok".to_string(), Value::Bool(true)),
             ("scores".to_string(), Value::Array(arr)),
             ("version".to_string(), Value::Num(version as f64)),
-        ],
-        tag,
-    )
-}
-
-/// `{"ok":true,"classes":[...],"access":[...]}` reply: per-id land-use
-/// class index and accessibility index from the frozen embedding store.
-pub fn tasks_reply(classes: &[u8], access: &[f32], tag: Option<&Value>) -> String {
-    let cls = classes.iter().map(|&c| Value::Num(c as f64)).collect();
-    let acc = access.iter().map(|&a| Value::Num(a as f64)).collect();
-    finish(
-        vec![
-            ("ok".to_string(), Value::Bool(true)),
-            ("classes".to_string(), Value::Array(cls)),
-            ("access".to_string(), Value::Array(acc)),
         ],
         tag,
     )
@@ -261,28 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn tasks_round_trip() {
-        let r = parse_request(r#"{"op":"tasks","ids":[0,2],"id":7}"#).unwrap();
-        match &r {
-            Request::Tasks { ids, tag } => {
-                assert_eq!(ids, &[0, 2]);
-                assert_eq!(tag.as_ref().unwrap().as_f64(), Some(7.0));
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let reply = tasks_reply(&[3, 0], &[0.5, 0.125], r.tag());
-        let v = serde_json::from_str_value(&reply).unwrap();
-        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
-        let classes = match v.get("classes") {
-            Some(Value::Array(a)) => a.clone(),
-            other => panic!("missing classes: {other:?}"),
-        };
-        assert_eq!(classes.len(), 2);
-        assert_eq!(classes[0].as_f64(), Some(3.0));
-        assert!(parse_request(r#"{"op":"tasks","ids":[]}"#).is_err());
-    }
-
-    #[test]
     fn region_ids_alias_is_accepted() {
         let r = parse_request(r#"{"op":"score","region_ids":[1]}"#).unwrap();
         assert!(matches!(r, Request::Score { ref ids, .. } if ids == &[1]));
@@ -298,6 +246,7 @@ mod tests {
             r#"{"op":"score","ids":[-1]}"#,
             r#"{"op":"score","ids":[1.5]}"#,
             r#"{"op":"warp"}"#,
+            r#"{"op":"tasks","ids":[0]}"#,
             r#"{"op":"update_poi","poi":[1]}"#,
             r#"{"op":"update_poi","region":0,"poi":["x"]}"#,
         ] {

@@ -48,12 +48,11 @@ use std::time::{Duration, Instant};
 use cmsf::CmsfConfig;
 use serde_json::Value;
 use uvd_obs::Histogram;
-use uvd_tensor::{EmbeddingStore, MatrixStore};
+use uvd_tensor::MatrixStore;
 use uvd_urg::Urg;
 
 use crate::engine::{oob_error, BatchScorer, Caches, Updater};
 use crate::proto::{self, Request};
-use crate::tasks::TaskScorer;
 use crate::{env, proto::error_reply};
 
 static REQUESTS: uvd_obs::Counter = uvd_obs::Counter::new("serve.requests");
@@ -61,18 +60,8 @@ static BATCHES: uvd_obs::Counter = uvd_obs::Counter::new("serve.batches");
 static QUEUE_ENQ: uvd_obs::Counter = uvd_obs::Counter::new("serve.queue.enq");
 static QUEUE_DEQ: uvd_obs::Counter = uvd_obs::Counter::new("serve.queue.deq");
 
-/// What a queued job asks the worker to compute.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    /// Urban-village scores through the batch tape.
-    Score,
-    /// Downstream-task outputs from the frozen embedding store.
-    Tasks,
-}
-
 /// A queued score request: ids plus the channel the worker answers on.
 struct ScoreJob {
-    kind: JobKind,
     ids: Vec<u32>,
     tag: Option<Value>,
     enqueued: Instant,
@@ -93,7 +82,6 @@ struct UpdateJob {
 struct Stats {
     requests: AtomicU64,
     score_requests: AtomicU64,
-    task_requests: AtomicU64,
     batches: AtomicU64,
     rows_scored: AtomicU64,
     updates: AtomicU64,
@@ -140,8 +128,6 @@ struct SharedState {
     stats: Stats,
     n_regions: usize,
     workers: usize,
-    /// Whether workers carry a restored [`TaskScorer`].
-    tasks_enabled: bool,
 }
 
 /// Server construction options. `Default` reads `UVD_SERVE_BATCH`.
@@ -156,9 +142,6 @@ pub struct ServeOptions {
     pub batch: usize,
     /// Bounded queue capacity (jobs, not rows).
     pub queue_cap: usize,
-    /// Optional embedding store; when set, every worker restores the
-    /// downstream-task heads from it and the `tasks` op becomes available.
-    pub embeddings: Option<EmbeddingStore>,
 }
 
 impl Default for ServeOptions {
@@ -169,7 +152,6 @@ impl Default for ServeOptions {
             workers: 2,
             batch,
             queue_cap: 1024,
-            embeddings: None,
         }
     }
 }
@@ -199,13 +181,6 @@ impl Server {
         let d_final = caches0.x_final.cols();
         let gated = caches0.filter.is_some();
 
-        // Fail fast on a bad embedding store: validate once on this thread
-        // before any worker tries to restore from it.
-        let embeddings = opts.embeddings.clone();
-        if let Some(emb) = &embeddings {
-            TaskScorer::new(emb)?;
-        }
-
         let shared = Arc::new(SharedState {
             caches: RwLock::new(Arc::new(caches0)),
             queue: Mutex::new(VecDeque::new()),
@@ -216,7 +191,6 @@ impl Server {
             stats: Stats::default(),
             n_regions: updater.n_regions(),
             workers: opts.workers.max(1),
-            tasks_enabled: embeddings.is_some(),
         });
 
         let listener = TcpListener::bind(&opts.addr)?;
@@ -251,7 +225,6 @@ impl Server {
             let shared = Arc::clone(&shared);
             let urg = urg.clone();
             let store = store.clone();
-            let embeddings = embeddings.clone();
             let batch_cap = shared.batch_cap;
             threads.push(
                 std::thread::Builder::new()
@@ -265,12 +238,7 @@ impl Server {
                                 scorer.score_chunk(caches, ids, out)
                             }
                         };
-                        // Like the model, head params are Rc-backed (not
-                        // Send), so each worker restores its own scorer
-                        // from the shared store on-thread.
-                        let tasks = embeddings
-                            .map(|e| TaskScorer::new(&e).expect("store validated at startup"));
-                        worker_loop(rebuild, tasks, shared);
+                        worker_loop(rebuild, shared);
                     })?,
             );
         }
@@ -426,7 +394,6 @@ fn handle_line(line: &str, shared: &SharedState, update_tx: &mpsc::Sender<Update
             let mut fields: Vec<(String, u64)> = [
                 ("requests", s.requests.load(Ordering::Relaxed)),
                 ("score_requests", s.score_requests.load(Ordering::Relaxed)),
-                ("task_requests", s.task_requests.load(Ordering::Relaxed)),
                 ("batches", s.batches.load(Ordering::Relaxed)),
                 ("rows_scored", s.rows_scored.load(Ordering::Relaxed)),
                 ("updates", s.updates.load(Ordering::Relaxed)),
@@ -450,20 +417,7 @@ fn handle_line(line: &str, shared: &SharedState, update_tx: &mpsc::Sender<Update
         Request::Score { ids, tag } => {
             shared.stats.score_requests.fetch_add(1, Ordering::Relaxed);
             span.add_field("ids", ids.len() as f64);
-            score_via_queue(JobKind::Score, ids, tag, shared)
-        }
-        Request::Tasks { ids, tag } => {
-            if !shared.tasks_enabled {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                span.add_field("ok", 0.0);
-                return error_reply(
-                    "no embedding store loaded (start with --embeddings)",
-                    tag.as_ref(),
-                );
-            }
-            shared.stats.task_requests.fetch_add(1, Ordering::Relaxed);
-            span.add_field("ids", ids.len() as f64);
-            score_via_queue(JobKind::Tasks, ids, tag, shared)
+            score_via_queue(ids, tag, shared)
         }
         Request::UpdatePoi { region, poi, tag } => {
             let (reply_tx, reply_rx) = mpsc::channel();
@@ -491,13 +445,8 @@ fn handle_line(line: &str, shared: &SharedState, update_tx: &mpsc::Sender<Update
     reply
 }
 
-/// Enqueue a score/tasks job (bounded) and block on the worker's reply.
-fn score_via_queue(
-    kind: JobKind,
-    ids: Vec<u32>,
-    tag: Option<Value>,
-    shared: &SharedState,
-) -> String {
+/// Enqueue a score job (bounded) and block on the worker's reply.
+fn score_via_queue(ids: Vec<u32>, tag: Option<Value>, shared: &SharedState) -> String {
     let (reply_tx, reply_rx) = mpsc::channel();
     let enqueued = Instant::now();
     {
@@ -511,7 +460,6 @@ fn score_via_queue(
             );
         }
         q.push_back(ScoreJob {
-            kind,
             ids,
             tag: tag.clone(),
             enqueued,
@@ -536,13 +484,13 @@ fn score_via_queue(
 /// One worker: tick until shutdown. `rebuild` makes the worker's scorer
 /// — a recorded batch tape behind a `(caches, ids, out)` closure — at
 /// start-up and again after a tick panics.
-fn worker_loop<S>(rebuild: impl Fn() -> S, tasks: Option<TaskScorer>, shared: Arc<SharedState>)
+fn worker_loop<S>(rebuild: impl Fn() -> S, shared: Arc<SharedState>)
 where
     S: FnMut(&Caches, &[u32], &mut Vec<f32>),
 {
     let mut score = rebuild();
     while let Some((jobs, depth)) = next_tick(&shared) {
-        tick(&mut score, &rebuild, tasks.as_ref(), jobs, depth, &shared);
+        tick(&mut score, &rebuild, jobs, depth, &shared);
     }
 }
 
@@ -585,7 +533,6 @@ fn next_tick(shared: &SharedState) -> Option<(Vec<ScoreJob>, usize)> {
 fn tick<S>(
     score: &mut S,
     rebuild: &impl Fn() -> S,
-    tasks: Option<&TaskScorer>,
     jobs: Vec<ScoreJob>,
     depth: usize,
     shared: &SharedState,
@@ -610,16 +557,13 @@ fn tick<S>(
     let mut runnable: Vec<ScoreJob> = Vec::with_capacity(jobs.len());
     for job in jobs {
         stats.latency.queue.record(micros(popped - job.enqueued));
-        let bound = match job.kind {
-            JobKind::Score => shared.n_regions,
-            JobKind::Tasks => tasks.map_or(0, |t| t.n_regions()),
-        };
-        match job.ids.iter().find(|&&id| id as usize >= bound) {
+        match job.ids.iter().find(|&&id| id as usize >= shared.n_regions) {
             Some(&bad) => {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = job
-                    .reply
-                    .send(error_reply(&oob_error(bad, bound), job.tag.as_ref()));
+                let _ = job.reply.send(error_reply(
+                    &oob_error(bad, shared.n_regions),
+                    job.tag.as_ref(),
+                ));
             }
             None => runnable.push(job),
         }
@@ -629,7 +573,7 @@ fn tick<S>(
     let cap = shared.batch_cap;
     let mut scored: usize = runnable.iter().map(|j| j.ids.len()).sum();
     let replies = match catch_unwind(AssertUnwindSafe(|| {
-        score_replies(score, cap, tasks, &caches, &runnable)
+        score_replies(score, cap, &caches, &runnable)
     })) {
         Ok(replies) => replies,
         Err(_) => {
@@ -637,9 +581,7 @@ fn tick<S>(
             let mut replies = Vec::with_capacity(runnable.len());
             for job in &runnable {
                 let one = std::slice::from_ref(job);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    score_replies(score, cap, tasks, &caches, one)
-                })) {
+                match catch_unwind(AssertUnwindSafe(|| score_replies(score, cap, &caches, one))) {
                     Ok(mut r) => replies.push(r.pop().expect("one reply per job")),
                     Err(payload) => {
                         *score = rebuild();
@@ -665,41 +607,23 @@ fn tick<S>(
     drop(span);
 }
 
-/// One reply per job, every id in bounds. Score jobs are flattened and
-/// replayed through `score` in chunks of at most `cap` rows; task jobs
-/// answer from the worker's frozen-embedding scorer.
-fn score_replies<S>(
-    score: &mut S,
-    cap: usize,
-    tasks: Option<&TaskScorer>,
-    caches: &Caches,
-    jobs: &[ScoreJob],
-) -> Vec<String>
+/// One reply per job, every id in bounds. The jobs' ids are flattened and
+/// replayed through `score` in chunks of at most `cap` rows.
+fn score_replies<S>(score: &mut S, cap: usize, caches: &Caches, jobs: &[ScoreJob]) -> Vec<String>
 where
     S: FnMut(&Caches, &[u32], &mut Vec<f32>),
 {
-    let flat: Vec<u32> = jobs
-        .iter()
-        .filter(|j| j.kind == JobKind::Score)
-        .flat_map(|j| j.ids.iter().copied())
-        .collect();
+    let flat: Vec<u32> = jobs.iter().flat_map(|j| j.ids.iter().copied()).collect();
     let mut scores: Vec<f32> = Vec::with_capacity(flat.len());
     for chunk in flat.chunks(cap) {
         score(caches, chunk, &mut scores);
     }
     let mut off = 0;
     jobs.iter()
-        .map(|job| match job.kind {
-            JobKind::Score => {
-                let n = job.ids.len();
-                off += n;
-                proto::score_reply(&scores[off - n..off], caches.version, job.tag.as_ref())
-            }
-            JobKind::Tasks => {
-                let t = tasks.expect("tasks job implies a scorer");
-                let (classes, access) = t.score(&job.ids);
-                proto::tasks_reply(&classes, &access, job.tag.as_ref())
-            }
+        .map(|job| {
+            let n = job.ids.len();
+            off += n;
+            proto::score_reply(&scores[off - n..off], caches.version, job.tag.as_ref())
         })
         .collect()
 }
@@ -790,14 +714,12 @@ mod tests {
             stats: Stats::default(),
             n_regions,
             workers: 1,
-            tasks_enabled: false,
         }
     }
 
     fn job(ids: &[u32]) -> (ScoreJob, mpsc::Receiver<String>) {
         let (reply, rx) = mpsc::channel();
         let job = ScoreJob {
-            kind: JobKind::Score,
             ids: ids.to_vec(),
             tag: None,
             enqueued: Instant::now(),
@@ -874,7 +796,7 @@ mod tests {
             .into_iter()
             .map(job)
             .unzip();
-        tick(&mut score, &rebuild, None, jobs, 0, &shared);
+        tick(&mut score, &rebuild, jobs, 0, &shared);
         assert_eq!(reply(&rxs[0]), Ok(vec![1.0, 2.0]));
         assert_eq!(
             reply(&rxs[1]),
@@ -887,7 +809,7 @@ mod tests {
         assert_eq!(shared.stats.rows_scored.load(Ordering::Relaxed), 3);
 
         let (next, rx) = job(&[4, 6]);
-        tick(&mut score, &rebuild, None, vec![next], 0, &shared);
+        tick(&mut score, &rebuild, vec![next], 0, &shared);
         assert_eq!(reply(&rx), Ok(vec![4.0, 6.0]));
         assert_eq!(builds.get(), 3);
         assert_eq!(shared.stats.latency.replay.count(), 2);

@@ -51,7 +51,6 @@
 //! ```
 
 pub mod conv;
-pub mod embed;
 pub mod fastmath;
 mod gemm;
 pub mod graph;
@@ -66,7 +65,6 @@ pub mod sample;
 pub mod sparse;
 
 pub use conv::{ConvMeta, ConvPoolStack, PoolMeta};
-pub use embed::{EmbeddingMeta, EmbeddingStore};
 pub use graph::{CsrPair, Graph, NodeId};
 pub use init::{seeded_rng, Rng64};
 pub use matrix::Matrix;

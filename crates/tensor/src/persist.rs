@@ -2,15 +2,12 @@
 //! sets — enough to save a trained detector to disk and reload it for
 //! inference (little-endian binary format with a magic header).
 //!
-//! Format (version 1):
+//! Format:
 //! ```text
 //! magic  : b"UVDT0001"
 //! count  : u32
 //! entry* : name_len u32 | name bytes (utf-8) | rows u32 | cols u32 | f32*
 //! ```
-//!
-//! Version 2 (`UVDT0002`) extends each entry with embedding metadata and a
-//! schema-version field; see [`crate::embed`].
 
 use crate::matrix::Matrix;
 use crate::param::ParamSet;
@@ -18,16 +15,16 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-pub(crate) const MAGIC: &[u8; 8] = b"UVDT0001";
+const MAGIC: &[u8; 8] = b"UVDT0001";
 
-/// Longest serializable name / city-id string (guards hostile headers).
-pub(crate) const MAX_NAME_LEN: usize = 1 << 20;
+/// Longest serializable name (guards hostile headers).
+const MAX_NAME_LEN: usize = 1 << 20;
 /// Largest deserializable matrix in elements (guards hostile headers).
-pub(crate) const MAX_ELEMS: usize = 1 << 28;
+const MAX_ELEMS: usize = 1 << 28;
 
 /// Checked conversion for on-disk `u32` fields. The old truncating `as u32`
 /// casts silently wrote corrupt files for dimensions above `u32::MAX`.
-pub(crate) fn u32_field(n: usize, what: &str) -> io::Result<u32> {
+fn u32_field(n: usize, what: &str) -> io::Result<u32> {
     u32::try_from(n).map_err(|_| {
         io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -40,8 +37,7 @@ pub(crate) fn u32_field(n: usize, what: &str) -> io::Result<u32> {
 ///
 /// Lookups go through a name→index map kept in lockstep with the entry
 /// vector, so `get`/`insert` are O(1) in the store size — `restore_params`
-/// on an m-parameter model over an n-entry store is O(m), not O(n·m), and
-/// the embedding-store bulk-insert path does not degrade quadratically.
+/// on an m-parameter model over an n-entry store is O(m), not O(n·m).
 #[derive(Clone, Debug, Default)]
 pub struct MatrixStore {
     entries: Vec<(String, Matrix)>,
@@ -159,21 +155,6 @@ impl MatrixStore {
         Ok(())
     }
 
-    /// FNV-1a hash over names, shapes and value bits — a cheap fingerprint
-    /// identifying the producing checkpoint in embedding-store metadata.
-    pub fn content_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (name, m) in &self.entries {
-            h = fnv1a(h, name.as_bytes());
-            h = fnv1a(h, &(m.rows() as u64).to_le_bytes());
-            h = fnv1a(h, &(m.cols() as u64).to_le_bytes());
-            for &v in m.as_slice() {
-                h = fnv1a(h, &v.to_le_bytes());
-            }
-        }
-        h
-    }
-
     /// Serialize to a writer. Fails with `InvalidInput` (writing nothing
     /// useful) if any count or dimension overflows the format's u32 fields.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
@@ -192,12 +173,6 @@ impl MatrixStore {
         if &magic != MAGIC {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
         }
-        Self::read_v1_body(r)
-    }
-
-    /// Parse the version-1 body (everything after the magic). Shared with
-    /// the embedding store's backward-compatible `UVDT0001` read path.
-    pub(crate) fn read_v1_body(r: &mut impl Read) -> io::Result<Self> {
         let count = read_u32(r)? as usize;
         let mut store = MatrixStore::new();
         for _ in 0..count {
@@ -211,7 +186,7 @@ impl MatrixStore {
     /// Insert rejecting duplicates — the read path uses this so a corrupt
     /// or crafted file with two entries of the same name is an error
     /// instead of one copy silently shadowing the other.
-    pub(crate) fn insert_unique(&mut self, name: String, m: Matrix) -> io::Result<()> {
+    fn insert_unique(&mut self, name: String, m: Matrix) -> io::Result<()> {
         if self.index.contains_key(&name) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -236,27 +211,14 @@ impl MatrixStore {
     }
 }
 
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
+fn read_u32(r: &mut impl Read) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
 }
 
-pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
 /// Read a length-prefixed utf-8 string with the hostile-header length guard.
-pub(crate) fn read_name(r: &mut impl Read, what: &str) -> io::Result<String> {
+fn read_name(r: &mut impl Read, what: &str) -> io::Result<String> {
     let len = read_u32(r)? as usize;
     if len > MAX_NAME_LEN {
         return Err(io::Error::new(
@@ -270,9 +232,9 @@ pub(crate) fn read_name(r: &mut impl Read, what: &str) -> io::Result<String> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, format!("non-utf8 {what}")))
 }
 
-/// Write one `name | rows | cols | f32*` entry payload (shared by both
-/// format versions), with checked u32 conversions throughout.
-pub(crate) fn write_entry_payload(w: &mut impl Write, name: &str, m: &Matrix) -> io::Result<()> {
+/// Write one `name | rows | cols | f32*` entry payload, with checked u32
+/// conversions throughout.
+fn write_entry_payload(w: &mut impl Write, name: &str, m: &Matrix) -> io::Result<()> {
     let bytes = name.as_bytes();
     w.write_all(&u32_field(bytes.len(), "name length")?.to_le_bytes())?;
     w.write_all(bytes)?;
@@ -285,7 +247,7 @@ pub(crate) fn write_entry_payload(w: &mut impl Write, name: &str, m: &Matrix) ->
 }
 
 /// Read one `rows | cols | f32*` matrix payload with the size guard.
-pub(crate) fn read_matrix_payload(r: &mut impl Read) -> io::Result<Matrix> {
+fn read_matrix_payload(r: &mut impl Read) -> io::Result<Matrix> {
     let rows = read_u32(r)? as usize;
     let cols = read_u32(r)? as usize;
     if rows.checked_mul(cols).is_none_or(|n| n > MAX_ELEMS) {
@@ -447,20 +409,6 @@ mod tests {
         let mut buf = Vec::new();
         let err = store.write_to(&mut buf).expect_err("must reject");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-    }
-
-    #[test]
-    fn content_hash_tracks_values_and_names() {
-        let mut a = MatrixStore::new();
-        a.insert("w", Matrix::filled(2, 2, 1.0));
-        let h0 = a.content_hash();
-        let mut b = a.clone();
-        assert_eq!(h0, b.content_hash());
-        b.insert("w", Matrix::filled(2, 2, 1.5));
-        assert_ne!(h0, b.content_hash());
-        let mut c = MatrixStore::new();
-        c.insert("v", Matrix::filled(2, 2, 1.0));
-        assert_ne!(h0, c.content_hash());
     }
 
     #[test]

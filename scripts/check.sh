@@ -74,10 +74,3 @@ cargo run --release -p uvd-bench --bin scaling -q -- --smoke
 # error, the server-side request p50 from `stats` below 1 ms, and the
 # serve.request / serve.batch span taxonomy present in the JSONL trace.
 cargo run --release -p uvd-bench --bin serve_smoke -q
-# Embedding-store smoke: pretrain the tiny city, export the frozen
-# embeddings, train all three downstream heads, persist one UVDT0002
-# store, reload it and assert the reloaded head scores (and the served
-# "tasks" op) are bitwise identical to the in-memory ones. Leaves the
-# committed BENCH_tensor.json untouched (the tasks row comes from
-# --record runs).
-cargo run --release -p uvd-bench --bin tasks_smoke -q
