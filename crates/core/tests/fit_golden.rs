@@ -97,3 +97,44 @@ fn replayed_fold_matches_define_by_run_pin() {
     assert_eq!(params, 0x8933_3411_2cab_48be, "params FNV 0x{params:016x}");
     assert_eq!(scores, 0x5401_18a8_b2ad_b4d2, "scores FNV 0x{scores:016x}");
 }
+
+/// GSCM cluster occupancy after the full-batch master stage of the
+/// `full_batch_fit_is_pinned` fixture: `(occupied clusters, largest
+/// cluster's share of regions, |C₁|, |C₀|, occupied clusters in C₀)`.
+fn master_occupancy() -> (usize, f64, usize, usize, usize) {
+    let city = City::from_config(CityPreset::tiny(), 21);
+    let urg = Urg::build(&city, UrgOptions::default());
+    let train: Vec<usize> = (0..urg.labeled.len()).collect();
+    let mut cfg = CmsfConfig::fast_test();
+    cfg.sample_fanout = 4;
+    cfg.prefetch = 2;
+    cfg.master_epochs = 6;
+    cfg.slave_epochs = 3;
+    let mut model = Cmsf::new(&urg, cfg);
+    model.train_master(&urg, &train).expect("master trains");
+    let fixed = model.fixed_assignment().expect("master freezes");
+    let mut counts = vec![0usize; fixed.pseudo.len()];
+    for &c in &fixed.cluster_of {
+        counts[c as usize] += 1;
+    }
+    let (c1, c0) = fixed.partition();
+    let occupied = counts.iter().filter(|&&n| n > 0).count();
+    let largest = counts.iter().copied().max().unwrap_or(0);
+    let share = largest as f64 / fixed.cluster_of.len() as f64;
+    let c0_occupied = c0.iter().filter(|&&j| counts[j as usize] > 0).count();
+    (occupied, share, c1.len(), c0.len(), c0_occupied)
+}
+
+#[test]
+fn master_occupancy_is_pinned() {
+    let (occupied, share, c1, c0, c0_occupied) = master_occupancy();
+    // Three of K = 6 clusters hold every region, one of them 17/18 of the
+    // city, and C₀ holds only empty clusters (the collapse of DESIGN.md §3).
+    assert_eq!(occupied, 3, "occupied clusters");
+    assert_eq!(share.to_bits(), (17.0f64 / 18.0).to_bits(), "share {share}");
+    assert_eq!(
+        (c1, c0, c0_occupied),
+        (3, 3, 0),
+        "|C1|, |C0|, occupied |C0|"
+    );
+}
