@@ -19,18 +19,13 @@ fn bench_msgate(c: &mut Criterion) {
         let h = normal_matrix(k, d, 0.0, 1.0, &mut rng);
         let x = normal_matrix(n, d, 0.0, 1.0, &mut rng);
         let mut b_soft = Matrix::filled(n, k, 1.0 / k as f32);
-        let mut b_hard_t = Matrix::zeros(k, n);
-        let mut cluster_of = vec![0u32; n];
-        for (i, c) in cluster_of.iter_mut().enumerate() {
+        for i in 0..n {
             b_soft.set(i, i % k, 0.6);
-            b_hard_t.set(i % k, i, 1.0);
-            *c = (i % k) as u32;
         }
         let fixed = FixedAssignment {
             b_soft,
-            b_hard_t,
             pseudo: (0..k).map(|j| if j % 4 == 0 { 1.0 } else { 0.0 }).collect(),
-            cluster_of,
+            cluster_of: (0..n).map(|i| (i % k) as u32).collect(),
         };
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bch, _| {
             bch.iter(|| {

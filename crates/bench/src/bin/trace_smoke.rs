@@ -4,7 +4,9 @@
 //!
 //! 1. every line parses as JSON and matches the span/counter schema,
 //! 2. every instrumented stage of the pipeline appears in the span set,
-//! 3. the summed durations of the five top-level stages (URG build, master,
+//! 3. every `cmsf.freeze` span carries the cluster occupancy fields, and
+//!    its `|C₁| + |C₀|` is the configured K,
+//! 4. the summed durations of the five top-level stages (URG build, master,
 //!    slave, gate, evaluate) land within 10% of the measured wall time —
 //!    i.e. the trace accounts for where the run actually went.
 //!
@@ -12,6 +14,7 @@
 //! in time (overlapping stage spans would make the wall-time reconciliation
 //! meaningless on multi-core hosts).
 
+use cmsf::CmsfConfig;
 use std::time::Instant;
 use uvd_citysim::{City, CityPreset};
 use uvd_eval::{run_method, MethodKind, RunSpec};
@@ -44,6 +47,9 @@ const EXPECTED_COUNTERS: &[&str] = &[
     "gemm.pack_repack",
 ];
 
+/// Occupancy fields every `cmsf.freeze` span must carry.
+const FREEZE_FIELDS: &[&str] = &["occupied", "largest_share", "c1", "c0", "c0_occupied"];
+
 /// The five non-overlapping top-level stages reconciled against wall time.
 const WALL_STAGES: &[&str] = &[
     "urg.build",
@@ -61,9 +67,10 @@ fn main() {
     assert!(uvd_obs::enabled(), "UVD_TRACE=jsonl: must enable tracing");
 
     let city = City::from_config(CityPreset::FuzhouLike.config(), 9);
-    let wall_secs = par::serial_scope(|| {
+    let (wall_secs, k) = par::serial_scope(|| {
         let t0 = Instant::now();
         let urg = Urg::build(&city, UrgOptions::default());
+        let k = CmsfConfig::for_city(&urg.name).k_clusters;
         let spec = RunSpec {
             folds: 2,
             seeds: vec![0],
@@ -73,7 +80,7 @@ fn main() {
         let summary = run_method(MethodKind::Cmsf, &urg, &spec).expect("clean traced run");
         assert_eq!(summary.failed, 0, "traced smoke fold must not degrade");
         assert!(summary.fit_secs > 0.0, "stage timings must be measured");
-        t0.elapsed().as_secs_f64()
+        (t0.elapsed().as_secs_f64(), k)
     });
     uvd_obs::disable(); // flush the sink so the file is complete
 
@@ -82,6 +89,7 @@ fn main() {
     let mut counter_names: Vec<String> = Vec::new();
     let mut stage_secs = 0.0f64;
     let mut records = 0usize;
+    let mut freezes = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let v: serde_json::Value = serde_json::from_str(line)
             .unwrap_or_else(|e| panic!("line {} is not valid JSON: {e}", lineno + 1));
@@ -112,6 +120,26 @@ fn main() {
                     "span record on line {} missing `fields` object",
                     lineno + 1
                 );
+                if name == "cmsf.freeze" {
+                    let field = |key: &str| {
+                        v.get("fields")
+                            .and_then(|f| f.get(key))
+                            .and_then(|x| x.as_f64())
+                            .unwrap_or_else(|| {
+                                panic!("cmsf.freeze on line {} lacks `{key}`", lineno + 1)
+                            })
+                    };
+                    for key in FREEZE_FIELDS {
+                        field(key);
+                    }
+                    assert_eq!(
+                        field("c1") as usize + field("c0") as usize,
+                        k,
+                        "cmsf.freeze on line {}: |C1| + |C0| must be K",
+                        lineno + 1
+                    );
+                    freezes += 1;
+                }
                 if WALL_STAGES.contains(&name.as_str()) {
                     stage_secs += dur.unwrap_or(0.0) / 1e6;
                 }
@@ -129,6 +157,7 @@ fn main() {
         }
     }
     assert!(records > 0, "trace file is empty");
+    assert!(freezes > 0, "no cmsf.freeze span to check");
 
     for want in EXPECTED_SPANS {
         assert!(

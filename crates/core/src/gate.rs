@@ -172,17 +172,10 @@ mod tests {
         for i in 0..n {
             b_soft.set(i, i % k, 0.5);
         }
-        let mut b_hard_t = Matrix::zeros(k, n);
-        let mut cluster_of = vec![0u32; n];
-        for (i, c) in cluster_of.iter_mut().enumerate() {
-            b_hard_t.set(i % k, i, 1.0);
-            *c = (i % k) as u32;
-        }
         FixedAssignment {
             b_soft,
-            b_hard_t,
             pseudo: vec![1.0, 0.0, 0.0],
-            cluster_of,
+            cluster_of: (0..n).map(|i| (i % k) as u32).collect(),
         }
     }
 

@@ -7,15 +7,16 @@
 //! (eq. 12). In the slave stage the assignment is frozen (Algorithm 2) and
 //! passed in as [`FixedAssignment`].
 
+use std::sync::Arc;
 use uvd_nn::{Activation, Linear};
 use uvd_tensor::init::glorot_uniform;
-use uvd_tensor::{Graph, Matrix, NodeId, ParamRef, ParamSet, Rng64};
+use uvd_tensor::{Csr, CsrPair, Graph, Matrix, NodeId, ParamRef, ParamSet, Rng64};
 
 /// How regions→clusters collection (eq. 10) is performed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CollectionMode {
     /// The paper's binarized assignment `B̃`, mean-pooled per cluster
-    /// (default; see the stability note on [`Gscm::binarize_t`]).
+    /// (default; see the stability note on `cluster_mean`).
     HardMean,
     /// Soft collection through `B` itself (design-choice ablation): every
     /// region contributes to every cluster with its membership weight,
@@ -30,44 +31,30 @@ pub enum CollectionMode {
 pub struct FixedAssignment {
     /// Soft assignment `B` (N×K).
     pub b_soft: Matrix,
-    /// Transposed hard assignment `B̃^T` (K×N) for regions→clusters sums.
-    pub b_hard_t: Matrix,
     /// Cluster pseudo labels `y^h` (eq. 16), derived from *training* labels.
     pub pseudo: Vec<f32>,
-    /// Hard cluster id per region.
+    /// Hard cluster id per region, in `[0, K)`: the binarized assignment
+    /// `B̃`, i.e. the row argmax of `b_soft` when it was frozen.
     pub cluster_of: Vec<u32>,
 }
 
 impl FixedAssignment {
     pub fn k(&self) -> usize {
-        self.b_hard_t.rows()
+        self.pseudo.len()
     }
 
     /// Restrict the frozen assignment to an induced node subset (ascending
     /// global region ids), for mini-batch slave training. `b_soft` rows and
-    /// `cluster_of` are gathered verbatim; `b_hard_t` is rebuilt over the
-    /// subset with per-batch mean weights `1/|cluster ∩ batch|`, mirroring
-    /// [`Gscm::binarize_t`]'s construction (clusters with no member in the
-    /// batch get an all-zero row). `pseudo` is per-cluster global state and
-    /// is carried unchanged.
+    /// `cluster_of` are gathered verbatim, so the batch's cluster means run
+    /// over `cluster ∩ batch` (clusters with no member in the batch collect
+    /// nothing). `pseudo` is per-cluster global state and is carried
+    /// unchanged.
     pub fn induced(&self, nodes: &[u32]) -> FixedAssignment {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
-        let k = self.k();
-        let b_soft = self.b_soft.gather_rows(nodes);
-        let cluster_of: Vec<u32> = nodes.iter().map(|&i| self.cluster_of[i as usize]).collect();
-        let mut counts = vec![0usize; k];
-        for &j in &cluster_of {
-            counts[j as usize] += 1;
-        }
-        let mut b_hard_t = Matrix::zeros(k, nodes.len());
-        for (i, &j) in cluster_of.iter().enumerate() {
-            b_hard_t.set(j as usize, i, 1.0 / counts[j as usize] as f32);
-        }
         FixedAssignment {
-            b_soft,
-            b_hard_t,
+            b_soft: self.b_soft.gather_rows(nodes),
             pseudo: self.pseudo.clone(),
-            cluster_of,
+            cluster_of: nodes.iter().map(|&i| self.cluster_of[i as usize]).collect(),
         }
     }
 
@@ -84,17 +71,58 @@ impl FixedAssignment {
         }
         (c1, c0)
     }
+
+    /// How the regions spread over the clusters, as span fields: occupied
+    /// (non-empty) clusters, the largest cluster's share of the regions,
+    /// `|C₁|`, `|C₀|` and the occupied clusters in `C₀`.
+    pub fn occupancy(&self) -> [(&'static str, f64); 5] {
+        let counts = member_counts(self.k(), &self.cluster_of);
+        let (c1, c0) = self.partition();
+        let occupied = |js: &[u32]| js.iter().filter(|&&j| counts[j as usize] > 0).count() as f64;
+        let largest = counts.iter().copied().max().unwrap_or(0) as f64;
+        let share = largest / self.cluster_of.len().max(1) as f64;
+        [
+            ("occupied", occupied(&c1) + occupied(&c0)),
+            ("largest_share", share),
+            ("c1", c1.len() as f64),
+            ("c0", c0.len() as f64),
+            ("c0_occupied", occupied(&c0)),
+        ]
+    }
+}
+
+/// Number of regions per cluster.
+fn member_counts(k: usize, cluster_of: &[u32]) -> Vec<usize> {
+    let mut counts = vec![0usize; k];
+    for &j in cluster_of {
+        counts[j as usize] += 1;
+    }
+    counts
+}
+
+/// The mean-pooling `B̃ᵀ` of `cluster_of` as a K×N sparse matrix: row `j`
+/// holds `1/|cluster_j|` at its member columns, in ascending region order
+/// (an empty cluster's row is empty).
+///
+/// Eq. 10 of the paper is a raw sum over cluster members; at hundreds of
+/// regions per cluster the summed representations are ~|cluster|× larger
+/// than region representations, saturating downstream activations and
+/// collapsing eq. 13's fusion. The per-cluster `1/|cluster|` scale is
+/// absorbable by `W_h` in exact arithmetic, so mean pooling is
+/// mathematically equivalent up to reparameterization while keeping f32
+/// training stable (see DESIGN.md §3).
+fn cluster_mean(k: usize, cluster_of: &[u32]) -> Arc<CsrPair> {
+    let counts = member_counts(k, cluster_of);
+    let coo = cluster_of
+        .iter()
+        .enumerate()
+        .map(|(i, &j)| (j, i as u32, 1.0 / counts[j as usize] as f32))
+        .collect();
+    CsrPair::new(Csr::from_coo(k, cluster_of.len(), coo))
 }
 
 /// Output of a GSCM forward pass.
 pub struct GscmOut {
-    /// Soft assignment node (N×K).
-    pub b_soft: NodeId,
-    /// Hard assignment value `B̃ᵀ`. Binarized from the soft assignment's
-    /// value when the tape is recorded and entered as a constant leaf, so a
-    /// replayed master tape keeps the record-time `B̃` for every later epoch
-    /// (DESIGN.md §3).
-    pub b_hard_t: Matrix,
     /// Updated cluster representations `h'` (K×d).
     pub h_prime: NodeId,
     /// Global-aware region representation `x̃^g` (N×d).
@@ -140,54 +168,52 @@ impl Gscm {
         g.softmax_rows(logits, self.tau)
     }
 
-    /// Binarize a soft assignment value into a mean-pooling `B̃^T`
-    /// (K×N; row `j` holds `1/|cluster_j|` at its member columns).
-    ///
-    /// Eq. 10 of the paper is a raw sum over cluster members; at hundreds of
-    /// regions per cluster the summed representations are ~|cluster|× larger
-    /// than region representations, saturating downstream activations and
-    /// collapsing eq. 13's fusion. The per-cluster `1/|cluster|` scale is
-    /// absorbable by `W_h` in exact arithmetic, so mean pooling is
-    /// mathematically equivalent up to reparameterization while keeping f32
-    /// training stable (see DESIGN.md §3).
-    pub fn binarize_t(&self, b_soft: &Matrix) -> (Matrix, Vec<u32>) {
-        let n = b_soft.rows();
-        let arg = b_soft.argmax_rows();
-        let mut counts = vec![0usize; self.k];
-        for &j in &arg {
-            counts[j as usize] += 1;
+    /// Freeze the assignment of `x̃` (Algorithm 1 line 11): `B` (eq. 9),
+    /// its row argmax as the cluster ids of `B̃`, and the cluster pseudo
+    /// labels of the training split (eq. 16).
+    pub fn freeze(
+        &self,
+        g: &mut Graph,
+        x_tilde: NodeId,
+        labeled: &[u32],
+        y: &[f32],
+        train_idx: &[usize],
+    ) -> FixedAssignment {
+        let b = self.assignment(g, x_tilde);
+        let b_soft = g.value(b).clone();
+        let cluster_of = b_soft.argmax_rows();
+        let pseudo = self.pseudo_labels(&cluster_of, labeled, y, train_idx);
+        FixedAssignment {
+            b_soft,
+            pseudo,
+            cluster_of,
         }
-        let mut bt = Matrix::zeros(self.k, n);
-        for (i, &j) in arg.iter().enumerate() {
-            bt.set(j as usize, i, 1.0 / counts[j as usize] as f32);
-        }
-        (bt, arg)
     }
 
     /// Full forward pass. When `fixed` is provided (slave stage), the
-    /// assignment matrices are constants; otherwise they are computed from
-    /// `x_tilde` (master stage) — `B` as a recorded op, `B̃` once, at record
-    /// time.
+    /// assignment is constant; otherwise `B` is computed from `x_tilde`
+    /// (master stage) as a recorded op, and `B̃` once from its value at
+    /// record time, so a replayed master tape keeps the record-time `B̃`
+    /// (DESIGN.md §3).
     pub fn forward(
         &self,
         g: &mut Graph,
         x_tilde: NodeId,
         fixed: Option<&FixedAssignment>,
     ) -> GscmOut {
-        let (b_soft, b_hard_t) = match fixed {
-            Some(f) => (g.constant(f.b_soft.clone()), f.b_hard_t.clone()),
-            None => {
-                let b = self.assignment(g, x_tilde);
-                let (bt, _) = self.binarize_t(g.value(b));
-                (b, bt)
-            }
+        let b_soft = match fixed {
+            Some(f) => g.constant(f.b_soft.clone()),
+            None => self.assignment(g, x_tilde),
         };
-        // eq. 10: h_j = Σ_i B̃_ij x̃_i  (binary weights are constants), or
+        // eq. 10: h_j = mean of x̃_i over cluster j (constant weights), or
         // the soft differentiable collection in the design ablation.
         let h0 = match self.collection {
             CollectionMode::HardMean => {
-                let bt_node = g.constant(b_hard_t.clone());
-                g.matmul(bt_node, x_tilde) // K×d
+                let pool = match fixed {
+                    Some(f) => cluster_mean(self.k, &f.cluster_of),
+                    None => cluster_mean(self.k, &g.value(b_soft).argmax_rows()),
+                };
+                g.spmm(pool, x_tilde) // K×d
             }
             CollectionMode::Soft => {
                 let bt = g.transpose(b_soft);
@@ -206,12 +232,7 @@ impl Gscm {
         let hr = self.w_r.forward(g, h_prime);
         let shared = g.matmul(b_soft, hr);
         let x_global = self.act.apply(g, shared);
-        GscmOut {
-            b_soft,
-            b_hard_t,
-            h_prime,
-            x_global,
-        }
+        GscmOut { h_prime, x_global }
     }
 
     /// Cluster pseudo labels from region labels (eq. 16): a cluster is
@@ -249,6 +270,7 @@ mod tests {
 
     use super::*;
     use uvd_tensor::init::{normal_matrix, seeded_rng};
+    use uvd_tensor::par;
 
     #[test]
     fn assignment_rows_are_distributions() {
@@ -265,26 +287,87 @@ mod tests {
         }
     }
 
+    /// `(row, col, value)` non-zeros of a CSR, in storage order.
+    fn entries(csr: &Csr) -> Vec<(usize, u32, f32)> {
+        (0..csr.rows())
+            .flat_map(|r| csr.row_iter(r).map(move |(c, v)| (r, c, v)))
+            .collect()
+    }
+
     #[test]
     fn binarize_is_mean_pooling() {
-        let mut rng = seeded_rng(2);
-        let gscm = Gscm::new("g", 6, 4, 0.5, &mut rng);
         // Regions 0 and 2 both land in cluster 1; region 1 in cluster 0.
         let b = Matrix::from_rows(&[
             &[0.1, 0.7, 0.1, 0.1],
             &[0.4, 0.3, 0.2, 0.1],
             &[0.0, 0.9, 0.05, 0.05],
         ]);
-        let (bt, arg) = gscm.binarize_t(&b);
+        let arg = b.argmax_rows();
         assert_eq!(arg, vec![1, 0, 1]);
-        // Cluster 1 has two members -> weights 1/2 each; cluster 0 one -> 1.
-        assert_eq!(bt.get(1, 0), 0.5);
-        assert_eq!(bt.get(1, 2), 0.5);
-        assert_eq!(bt.get(0, 1), 1.0);
-        // Each cluster row sums to 1 (mean pooling) or 0 (empty cluster).
-        for j in 0..4 {
-            let s: f32 = (0..3).map(|i| bt.get(j, i)).sum();
-            assert!(s == 0.0 || (s - 1.0).abs() < 1e-6, "row {j} sums to {s}");
+        let pool = cluster_mean(4, &arg);
+        assert_eq!((pool.fwd.rows(), pool.fwd.cols()), (4, 3));
+        // Cluster 1 has two members -> weights 1/2 each; cluster 0 one -> 1;
+        // clusters 2 and 3 are empty rows.
+        assert_eq!(
+            entries(&pool.fwd),
+            vec![(0, 1, 1.0), (1, 0, 0.5), (1, 2, 0.5)]
+        );
+    }
+
+    /// The dense `B̃ᵀ` (K×N) the sparse collection replaces: row `j` holds
+    /// `1/|cluster_j|` at its member columns.
+    fn dense_pool(k: usize, cluster_of: &[u32]) -> Matrix {
+        let counts = member_counts(k, cluster_of);
+        let mut bt = Matrix::zeros(k, cluster_of.len());
+        for (i, &j) in cluster_of.iter().enumerate() {
+            bt.set(j as usize, i, 1.0 / counts[j as usize] as f32);
+        }
+        bt
+    }
+
+    /// The sparse collection is bitwise the dense `B̃ᵀ·X` it replaces: its
+    /// forward against `matmul` and its `x` gradient against `matmul_tn`,
+    /// at 1, 2 and 7 threads.
+    #[test]
+    fn cluster_mean_matches_dense_product() {
+        let mut rng = seeded_rng(7);
+        // (k, d, cluster_of): an empty cluster (2) and a singleton (3);
+        // K > N; and a size large enough for spmm to run parallel.
+        let large: Vec<u32> = (0..2048u32).map(|i| (i * 7 + i / 5) % 8).collect();
+        let cases = [
+            (4, 5, vec![0, 1, 0, 3, 1, 0]),
+            (9, 3, vec![8, 2, 2, 5]),
+            (8, 64, large),
+        ];
+        for (k, d, cluster_of) in cases {
+            let n = cluster_of.len();
+            let x = normal_matrix(n, d, 0.0, 1.0, &mut rng);
+            let dh = normal_matrix(k, d, 0.0, 1.0, &mut rng);
+            let bt = dense_pool(k, &cluster_of);
+            for threads in [1, 2, 7] {
+                par::with_threads(threads, || {
+                    let mut g = Graph::new();
+                    let xn = g.variable(x.clone());
+                    let h = g.spmm(cluster_mean(k, &cluster_of), xn);
+                    let c = g.constant(dh.clone());
+                    let weighted = g.mul(h, c);
+                    let loss = g.sum_all(weighted);
+                    g.backward(loss);
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(g.value(h)),
+                        bits(&bt.matmul(&x)),
+                        "forward k{k} n{n} t{threads}"
+                    );
+                    let dx = g.grad(xn).expect("x gradient");
+                    assert_eq!(
+                        bits(dx),
+                        bits(&bt.matmul_tn(&dh)),
+                        "x grad k{k} n{n} t{threads}"
+                    );
+                });
+            }
         }
     }
 
@@ -299,19 +382,12 @@ mod tests {
         assert_eq!(g.value(out.h_prime).shape(), (4, 6));
         assert_eq!(g.value(out.x_global).shape(), (10, 6));
 
-        let (bt, arg) = gscm.binarize_t(g.value(out.b_soft));
-        let fixed = FixedAssignment {
-            b_soft: g.value(out.b_soft).clone(),
-            b_hard_t: bt,
-            pseudo: vec![0.0; 4],
-            cluster_of: arg,
-        };
+        let fixed = gscm.freeze(&mut g, xn, &[], &[], &[]);
         let mut g2 = Graph::new();
         let xn2 = g2.constant(x);
         let out2 = gscm.forward(&mut g2, xn2, Some(&fixed));
-        assert_eq!(g2.value(out2.x_global).shape(), (10, 6));
-        // Fixed assignment is used verbatim.
-        assert_eq!(g2.value(out2.b_soft), &fixed.b_soft);
+        // Frozen at the same x̃, the fixed path reproduces the live one.
+        assert_eq!(g2.value(out2.x_global), g.value(out.x_global));
     }
 
     #[test]
@@ -334,13 +410,33 @@ mod tests {
     fn partition_splits_clusters() {
         let fixed = FixedAssignment {
             b_soft: Matrix::zeros(1, 3),
-            b_hard_t: Matrix::zeros(3, 1),
             pseudo: vec![1.0, 0.0, 1.0],
             cluster_of: vec![0],
         };
         let (c1, c0) = fixed.partition();
         assert_eq!(c1, vec![0, 2]);
         assert_eq!(c0, vec![1]);
+    }
+
+    #[test]
+    fn occupancy_counts_members_and_c0() {
+        // Clusters 0 (three regions, positive) and 2 (one region); 1 and 3
+        // are empty, so C₀ = {1, 2, 3} has one occupied cluster.
+        let fixed = FixedAssignment {
+            b_soft: Matrix::zeros(4, 4),
+            pseudo: vec![1.0, 0.0, 0.0, 0.0],
+            cluster_of: vec![0, 0, 2, 0],
+        };
+        assert_eq!(
+            fixed.occupancy(),
+            [
+                ("occupied", 2.0),
+                ("largest_share", 0.75),
+                ("c1", 1.0),
+                ("c0", 3.0),
+                ("c0_occupied", 1.0),
+            ]
+        );
     }
 
     #[test]
@@ -355,7 +451,6 @@ mod tests {
         ]);
         let fixed = FixedAssignment {
             b_soft: b_soft.clone(),
-            b_hard_t: Matrix::zeros(3, 5), // unused by induced()
             pseudo: vec![1.0, 0.0, 1.0],
             cluster_of: vec![0, 1, 1, 0, 2],
         };
@@ -364,12 +459,13 @@ mod tests {
         assert_eq!(sub.pseudo, fixed.pseudo, "pseudo labels are global");
         assert_eq!(sub.b_soft.shape(), (3, 3));
         assert_eq!(sub.b_soft.row(2), b_soft.row(2), "rows gathered verbatim");
-        // Cluster 0 has one member in the batch -> weight 1; cluster 1 has
-        // two -> 1/2 each; cluster 2 none -> all-zero row.
-        assert_eq!(sub.b_hard_t.get(0, 0), 1.0);
-        assert_eq!(sub.b_hard_t.get(1, 1), 0.5);
-        assert_eq!(sub.b_hard_t.get(1, 2), 0.5);
-        assert!((0..3).all(|i| sub.b_hard_t.get(2, i) == 0.0));
+        // The batch's cluster means run over `cluster ∩ batch`: cluster 0
+        // has one member in the batch, cluster 1 two, cluster 2 none.
+        assert_eq!(member_counts(sub.k(), &sub.cluster_of), vec![1, 2, 0]);
+        assert_eq!(
+            entries(&cluster_mean(sub.k(), &sub.cluster_of).fwd),
+            vec![(0, 0, 1.0), (1, 1, 0.5), (1, 2, 0.5)]
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct Cmsf {
     pub cfg: CmsfConfig,
     img_reduce: Option<Linear>,
     maga: MagaStack,
-    gscm: Option<Gscm>,
+    pub(crate) gscm: Option<Gscm>,
     global_fuse: FusionAgg,
     classifier: Mlp,
     gate: Option<MsGate>,
@@ -584,20 +584,15 @@ impl Cmsf {
     /// derive pseudo labels (Algorithm 1 line 11). No-op without hierarchy.
     /// Runs as a no-grad inference pass.
     pub fn freeze_assignment(&mut self, urg: &Urg, train_idx: &[usize]) {
-        let _s = uvd_obs::span("cmsf.freeze");
+        let mut sp = uvd_obs::span("cmsf.freeze");
         if let Some(gscm) = &self.gscm {
             let mut g = Graph::inference();
             let x_tilde = self.maga_forward(&mut g, urg);
-            let b = gscm.assignment(&mut g, x_tilde);
-            let b_soft = g.value(b).clone();
-            let (b_hard_t, cluster_of) = gscm.binarize_t(&b_soft);
-            let pseudo = gscm.pseudo_labels(&cluster_of, &urg.labeled, &urg.y, train_idx);
-            self.fixed = Some(FixedAssignment {
-                b_soft,
-                b_hard_t,
-                pseudo,
-                cluster_of,
-            });
+            let fixed = gscm.freeze(&mut g, x_tilde, &urg.labeled, &urg.y, train_idx);
+            for (name, value) in fixed.occupancy() {
+                sp.add_field(name, value);
+            }
+            self.fixed = Some(fixed);
         }
     }
 
@@ -672,13 +667,19 @@ impl Cmsf {
         Ok(g.add(l_c, l_p_scaled))
     }
 
-    /// Record the detection head from an `x̃` node: GSCM (frozen) + fusion +
-    /// MS-Gate + classifier + sigmoid, returning the node handles the
-    /// serving layer caches. This *is* the op sequence of
-    /// [`Cmsf::predict_proba`] after MAGA — both paths run through here, so
-    /// served scores are bitwise the scores `predict` would produce.
-    fn score_from_x_tilde(&self, g: &mut Graph, x_tilde: NodeId) -> ScoreNodes {
-        let (x_final, filter, logits) = match (&self.gate, &self.fixed, self.trained_slave) {
+    /// Record the detection head from an `x̃` node: GSCM (assignment
+    /// `fixed`) + fusion + MS-Gate + classifier + sigmoid, returning the
+    /// node handles the serving layer caches. This *is* the op sequence of
+    /// [`Cmsf::predict_proba`] and [`Cmsf::predict_proba_live`] after MAGA —
+    /// every path runs through here, so served scores are bitwise the scores
+    /// `predict` would produce.
+    fn score_from_x_tilde(
+        &self,
+        g: &mut Graph,
+        x_tilde: NodeId,
+        fixed: Option<&FixedAssignment>,
+    ) -> ScoreNodes {
+        let (x_final, filter, logits) = match (&self.gate, fixed, self.trained_slave) {
             (Some(gate), Some(fixed), true) => {
                 let repr = self.representation_from(g, x_tilde, Some(fixed));
                 match repr.h_prime {
@@ -701,7 +702,7 @@ impl Cmsf {
                 }
             }
             _ => {
-                let repr = self.representation_from(g, x_tilde, self.fixed.as_ref());
+                let repr = self.representation_from(g, x_tilde, fixed);
                 let logits = self.classifier.forward(g, repr.x_final);
                 (repr.x_final, None, logits)
             }
@@ -716,7 +717,7 @@ impl Cmsf {
         let _s = uvd_obs::span("cmsf.predict");
         let mut g = Graph::inference();
         let x_tilde = self.maga_forward(&mut g, urg);
-        let nodes = self.score_from_x_tilde(&mut g, x_tilde);
+        let nodes = self.score_from_x_tilde(&mut g, x_tilde, self.fixed.as_ref());
         g.value(nodes.p).as_slice().to_vec()
     }
 
@@ -740,7 +741,7 @@ impl Cmsf {
     /// without re-running MAGA.
     pub fn record_serve_head(&self, g: &mut Graph, x_tilde: &uvd_tensor::Matrix) -> ServeHead {
         let leaf = g.constant(x_tilde.clone());
-        let nodes = self.score_from_x_tilde(g, leaf);
+        let nodes = self.score_from_x_tilde(g, leaf, self.fixed.as_ref());
         ServeHead {
             x_tilde: leaf,
             x_final: nodes.x_final,
@@ -793,39 +794,9 @@ impl Cmsf {
             Some(gscm) => {
                 let mut g = Graph::inference();
                 let x_tilde = self.maga_forward(&mut g, urg);
-                let b = gscm.assignment(&mut g, x_tilde);
-                let b_soft = g.value(b).clone();
-                let (b_hard_t, cluster_of) = gscm.binarize_t(&b_soft);
-                let pseudo = gscm.pseudo_labels(&cluster_of, &urg.labeled, &urg.y, train_idx);
-                let fixed = FixedAssignment {
-                    b_soft,
-                    b_hard_t,
-                    pseudo,
-                    cluster_of,
-                };
-                let mut g = Graph::inference();
-                let logits = match (&self.gate, self.trained_slave) {
-                    (Some(gate), true) => {
-                        let repr = self.representation(&mut g, urg, Some(&fixed));
-                        match repr.h_prime {
-                            Some(h_prime) => {
-                                let probs = gate.inclusion_probs(&mut g, h_prime);
-                                let q = gate.context(&mut g, &fixed, probs);
-                                let f = gate.filter(&mut g, q);
-                                gate.gated_forward(&mut g, &self.classifier, repr.x_final, f)
-                            }
-                            // Degrade to the plain classifier when the
-                            // hierarchy is absent (see predict_proba).
-                            None => self.classifier.forward(&mut g, repr.x_final),
-                        }
-                    }
-                    _ => {
-                        let repr = self.representation(&mut g, urg, Some(&fixed));
-                        self.classifier.forward(&mut g, repr.x_final)
-                    }
-                };
-                let p = g.sigmoid(logits);
-                g.value(p).as_slice().to_vec()
+                let fixed = gscm.freeze(&mut g, x_tilde, &urg.labeled, &urg.y, train_idx);
+                let nodes = self.score_from_x_tilde(&mut g, x_tilde, Some(&fixed));
+                g.value(nodes.p).as_slice().to_vec()
             }
             None => self.predict_proba(urg),
         }
@@ -931,7 +902,8 @@ mod tests {
 
     /// The paper-config master tape (2 MAGA layers × 4 attention modules ×
     /// 2 heads) records each GAT head's attention weights as one fused
-    /// node: 212 nodes, where the seven-node score chain recorded 308.
+    /// node, and GSCM's cluster collection as one `spmm` over the cluster
+    /// ids: 211 nodes.
     #[test]
     fn paper_config_master_tape_node_count() {
         let (urg, train) = tiny_setup(5);
@@ -939,7 +911,7 @@ mod tests {
         let (rows, targets, weights) = model.bce_vectors(&urg, &train);
         let mut g = Graph::new();
         model.record_master_tape(&mut g, &urg, &rows, &targets, &weights);
-        assert_eq!(g.len(), 212);
+        assert_eq!(g.len(), 211);
     }
 
     #[test]

@@ -41,13 +41,15 @@ cargo test -p uvd-urg --release --test par_build -q
 # ISA-tier gate: the direct conv stack against the packed-GEMM conv path,
 # the fused edge-attention op against its seven-node chain, the URG build,
 # the VGG-sim image-feature golden (`img_golden`, recorded before the
-# stack replaced the im2col + GEMM loop) and the CMSF training pins
-# (`fit_golden`) must reproduce the same bits on the AVX2 and scalar
-# tiers as on the detected one.
+# stack replaced the im2col + GEMM loop), the CMSF training pins
+# (`fit_golden`) and the Table II baseline pins (`baseline_golden`) must
+# reproduce the same bits on the AVX2 and scalar tiers as on the detected
+# one.
 for isa in scalar avx2; do
     UVD_GEMM_ISA=$isa cargo test -p uvd-tensor --release --test conv_stack -q
     UVD_GEMM_ISA=$isa cargo test -p uvd-tensor --release --test edge_attention_differential -q
     UVD_GEMM_ISA=$isa cargo test -p cmsf --release --test fit_golden -q
+    UVD_GEMM_ISA=$isa cargo test -p uvd-baselines --release --test baseline_golden -q
     UVD_GEMM_ISA=$isa cargo test -p uvd-urg --release --test par_build -q
     UVD_GEMM_ISA=$isa cargo test -p uvd-bench --release --test img_golden -q
 done
